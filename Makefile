@@ -47,6 +47,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -run='^$$' -fuzz=FuzzFastSimVsReference -fuzztime=$(FUZZTIME) ./internal/fastsim/
 	$(GO) test -run='^$$' -fuzz=FuzzFusedVsReference -fuzztime=$(FUZZTIME) ./internal/fastsim/
+	$(GO) test -run='^$$' -fuzz=FuzzLiveVsReference -fuzztime=$(FUZZTIME) ./internal/fastsim/
 	$(GO) test -run='^$$' -fuzz=FuzzIngest -fuzztime=$(FUZZTIME) ./internal/fleet/
 	$(GO) test -run='^$$' -fuzz=FuzzChaosnetFraming -fuzztime=$(FUZZTIME) ./internal/fleet/
 

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"selftune/internal/cache"
+	"selftune/internal/daemon"
 	"selftune/internal/energy"
 	"selftune/internal/sim"
 	"selftune/internal/trace"
@@ -420,6 +421,46 @@ func BenchmarkCacheAccess(b *testing.B) {
 }
 
 var sinkEnergy float64
+
+// BenchmarkSessionStepBatch times a settled daemon session serving a
+// workload stream — window boundaries, drift checks and snapshots included —
+// through the window-granular StepBatch in 4096-access chunks (the fleet's
+// batch size) against the per-access Step, in ns per access.
+func BenchmarkSessionStepBatch(b *testing.B) {
+	for _, name := range []string{"crc", "mpeg2"} {
+		prof, _ := workload.ByName(name)
+		accs := prof.Generate(200_000)
+		for _, batched := range []bool{false, true} {
+			mode := "Step"
+			if batched {
+				mode = "StepBatch"
+			}
+			b.Run(name+"/"+mode, func(b *testing.B) {
+				s := daemon.NewSession(daemon.Options{})
+				for s.Tuning() {
+					for _, a := range accs {
+						s.Step(a.Addr, a.IsWrite())
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if !batched {
+						for _, a := range accs {
+							s.Step(a.Addr, a.IsWrite())
+						}
+						continue
+					}
+					for rest := accs; len(rest) > 0; {
+						n, _, _ := s.StepBatch(rest[:min(len(rest), 4096)])
+						rest = rest[n:]
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(accs)), "ns/access")
+			})
+		}
+	}
+}
 
 // BenchmarkEnergyEvaluate times Equation 1 evaluation.
 func BenchmarkEnergyEvaluate(b *testing.B) {

@@ -1,6 +1,10 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+
+	"selftune/internal/trace"
+)
 
 // frame is one 16 B physical line slot.
 type frame struct {
@@ -233,6 +237,15 @@ func (c *Configurable) Access(addr uint32, write bool) AccessResult {
 	}
 	c.stats.SublinesFilled += uint64(res.SublinesFilled)
 	return res
+}
+
+// ReplayBatch performs the accesses in order: instruction fetches and loads
+// read, trace.DataWrite stores. It is Access in the batched shape the fast
+// kernels share.
+func (c *Configurable) ReplayBatch(accs []trace.Access) {
+	for _, a := range accs {
+		c.Access(a.Addr, a.Kind == trace.DataWrite)
+	}
 }
 
 // fillSubline picks the bank whose frame at the subline's row will receive

@@ -62,29 +62,66 @@ func (c *Configurable) Image() (Image, error) {
 	return img, nil
 }
 
-// RestoreConfigurable rebuilds a cache from an Image, validating the image's
-// internal consistency (a checkpoint that passed its CRC can still carry a
+// Validate reports whether the image describes a state the configurable
+// cache can reach: a checkpoint that passed its CRC can still carry a
 // logically impossible state if it was written by a buggy or hostile
-// producer). The restored cache is behaviourally identical to the one the
-// image was captured from.
+// producer. RestoreConfigurable and every other restore path (the live
+// fastsim kernel's) share this one check, so they cannot drift apart. It
+// rejects:
+//   - an invalid configuration or a predictor table of the wrong length;
+//   - a predictor entry that is neither a bank (0-3) nor "no prediction";
+//   - a frame outside the bank x row array, or in a row its block cannot
+//     map to, or holding a block beyond the 32-bit address space;
+//   - a frame in a bank the configuration has powered off (way shutdown
+//     always empties those, and a later grow would resurrect the line);
+//   - two frames for the same (bank, row) slot.
+func (img Image) Validate() error {
+	if err := img.Cfg.Validate(); err != nil {
+		return err
+	}
+	if len(img.Pred) != 2*BankRows {
+		return fmt.Errorf("predictor table has %d entries, want %d", len(img.Pred), 2*BankRows)
+	}
+	for set, p := range img.Pred {
+		if p >= NumBanks && p != noPrediction {
+			return fmt.Errorf("predictor entry %d is %#x, want a bank 0-%d or %#x", set, p, NumBanks-1, noPrediction)
+		}
+	}
+	active := img.Cfg.ActiveBanks()
+	var seen [NumBanks][BankRows]bool
+	for _, f := range img.Frames {
+		if f.Bank < 0 || f.Bank >= NumBanks || f.Row < 0 || f.Row >= BankRows {
+			return fmt.Errorf("frame (%d,%d) outside the %dx%d array", f.Bank, f.Row, NumBanks, BankRows)
+		}
+		if row(f.Block) != f.Row {
+			return fmt.Errorf("block %#x cannot reside in row %d", f.Block, f.Row)
+		}
+		if f.Block >= 1<<(32-4) {
+			return fmt.Errorf("block %#x is beyond the 32-bit address space", f.Block)
+		}
+		if f.Bank >= active {
+			return fmt.Errorf("frame (%d,%d) is valid but %v powers bank %d off", f.Bank, f.Row, img.Cfg, f.Bank)
+		}
+		if seen[f.Bank][f.Row] {
+			return fmt.Errorf("frame (%d,%d) appears twice", f.Bank, f.Row)
+		}
+		seen[f.Bank][f.Row] = true
+	}
+	return nil
+}
+
+// RestoreConfigurable rebuilds a cache from an Image after validating it
+// (Image.Validate). The restored cache is behaviourally identical to the
+// one the image was captured from.
 func RestoreConfigurable(img Image) (*Configurable, error) {
-	c, err := NewConfigurable(img.Cfg)
-	if err != nil {
+	if err := img.Validate(); err != nil {
 		return nil, fmt.Errorf("cache: restore: %w", err)
 	}
-	if len(img.Pred) != len(c.pred) {
-		return nil, fmt.Errorf("cache: restore: predictor table has %d entries, want %d", len(img.Pred), len(c.pred))
-	}
+	c := MustConfigurable(img.Cfg)
 	copy(c.pred[:], img.Pred)
 	c.clock = img.Clock
 	c.stats = img.Stats
 	for _, f := range img.Frames {
-		if f.Bank < 0 || f.Bank >= NumBanks || f.Row < 0 || f.Row >= BankRows {
-			return nil, fmt.Errorf("cache: restore: frame (%d,%d) outside the %dx%d array", f.Bank, f.Row, NumBanks, BankRows)
-		}
-		if row(f.Block) != f.Row {
-			return nil, fmt.Errorf("cache: restore: block %#x cannot reside in row %d", f.Block, f.Row)
-		}
 		c.banks[f.Bank][f.Row] = frame{valid: true, dirty: f.Dirty, block: f.Block, lastUse: f.LastUse}
 	}
 	return c, nil

@@ -110,6 +110,10 @@ func TestRestoreRejectsImpossibleImages(t *testing.T) {
 		{"bank out of range", func(i *Image) { i.Frames[0].Bank = NumBanks }},
 		{"row out of range", func(i *Image) { i.Frames[0].Row = BankRows }},
 		{"block/row mismatch", func(i *Image) { i.Frames[0].Block ^= 1 }},
+		{"predictor entry out of range", func(i *Image) { i.Pred[9] = NumBanks }},
+		{"frame in powered-off bank", func(i *Image) { i.Frames[0].Bank = 1 }},
+		{"duplicate frame", func(i *Image) { i.Frames = append(i.Frames, i.Frames[0]) }},
+		{"block beyond 32-bit address", func(i *Image) { i.Frames[0].Block |= 1 << 28 }},
 	}
 	for _, tc := range cases {
 		img := good

@@ -18,7 +18,6 @@ package daemon
 
 import (
 	"context"
-	"fmt"
 	"log/slog"
 
 	"selftune/internal/cache"
@@ -194,25 +193,35 @@ func (d *Daemon) Recovered() bool { return d.sess.Recovered() }
 // cannot be written must not pass silently); the access itself always
 // completes.
 func (d *Daemon) Step(addr uint32, write bool) error {
-	_, err := d.step(addr, write)
-	return err
-}
-
-// step is Step reporting whether a window boundary was crossed (the drain
-// loop in Run needs to see boundaries).
-func (d *Daemon) step(addr uint32, write bool) (bool, error) {
 	boundary, err := d.sess.Step(addr, write)
 	if err != nil || !boundary {
-		return boundary, err
+		return err
 	}
+	return d.atBoundary()
+}
+
+// StepBatch feeds accesses from the front of accs up to and including the
+// next measurement-window boundary, or all of them (Session.StepBatch), and
+// persists on the checkpoint cadence when it reaches a boundary. n is how
+// many it consumed; the error is a snapshot or persistence failure.
+func (d *Daemon) StepBatch(accs []trace.Access) (n int, boundary bool, err error) {
+	n, boundary, err = d.sess.StepBatch(accs)
+	if err != nil || !boundary {
+		return n, boundary, err
+	}
+	return n, true, d.atBoundary()
+}
+
+// atBoundary is the per-boundary persistence cadence and gauge refresh.
+func (d *Daemon) atBoundary() error {
 	d.boundaries++
 	if d.store != nil && d.boundaries >= d.opts.CheckpointEvery {
 		if err := d.persist(d.sess.Pending()); err != nil {
-			return true, err
+			return err
 		}
 	}
 	d.gauges()
-	return true, nil
+	return nil
 }
 
 // persist writes one snapshot and records the act. The "daemon.persist"
@@ -238,29 +247,28 @@ func (d *Daemon) persist(st *checkpoint.State) error {
 // Run streams src into the daemon until the stream ends or ctx is
 // cancelled. src must yield the trace from its beginning: Run discards the
 // prefix a previous life already consumed, which is what makes a restarted
-// daemon continue rather than start over. On cancellation the daemon drains
-// the in-flight measurement window to its boundary first (at most ~1.25
-// windows of accesses), so the final persisted checkpoint covers every
-// consumed access, then returns ctx.Err().
+// daemon continue rather than start over. Accesses are pulled in chunks of
+// runChunk and stepped a window at a time; cancellation is checked between
+// chunks. On cancellation the daemon drains the in-flight measurement
+// window to its boundary first (at most ~1.25 windows of accesses), so the
+// final persisted checkpoint covers every consumed access, then returns
+// ctx.Err().
 func (d *Daemon) Run(ctx context.Context, src trace.Source) error {
-	for skip := d.sess.Consumed(); skip > 0; skip-- {
-		if _, ok := src.Next(); !ok {
-			return fmt.Errorf("daemon: stream ends at %d accesses but the checkpoint consumed %d", d.sess.Consumed()-skip, d.sess.Consumed())
-		}
+	if err := skipConsumed(src, d.sess.Consumed()); err != nil {
+		return err
 	}
-	n := 0
+	buf := make([]trace.Access, runChunk)
 	for {
-		if n&0xfff == 0 && ctx.Err() != nil {
-			return d.drain(ctx, src)
+		if ctx.Err() != nil {
+			return d.drain(ctx, src, buf)
 		}
-		a, ok := src.Next()
-		if !ok {
-			return d.Close()
-		}
-		if err := d.Step(a.Addr, a.IsWrite()); err != nil {
+		chunk := fill(src, buf)
+		if err := feed(d.StepBatch, chunk); err != nil {
 			return err
 		}
-		n++
+		if len(chunk) < runChunk {
+			return d.Close()
+		}
 	}
 }
 
@@ -268,21 +276,27 @@ func (d *Daemon) Run(ctx context.Context, src trace.Source) error {
 // shutting down mid-window would persist the last boundary and replay the
 // partial window on restart — correct, but wasteful — so the daemon keeps
 // consuming until the next boundary (or the stream's end) and only then
-// takes the final snapshot.
-func (d *Daemon) drain(ctx context.Context, src trace.Source) error {
+// takes the final snapshot. Accesses read from src beyond that boundary
+// are not consumed; a restart skips exactly the consumed prefix.
+func (d *Daemon) drain(ctx context.Context, src trace.Source, buf []trace.Access) error {
 	// The drain span's coordinates depend on where cancellation landed in
 	// the stream — a lifecycle pair (like daemon.persist), not a decision.
 	sp := d.sess.span("daemon.drain", d.opts.Hists.drain())
 	var drained uint64
 	for !d.sess.AtBoundary() {
-		a, ok := src.Next()
-		if !ok {
-			break
+		chunk := fill(src, buf)
+		short := len(chunk) < len(buf)
+		for len(chunk) > 0 && !d.sess.AtBoundary() {
+			n, _, err := d.StepBatch(chunk)
+			if err != nil {
+				return err
+			}
+			chunk = chunk[n:]
+			drained += uint64(n)
 		}
-		if _, err := d.step(a.Addr, a.IsWrite()); err != nil {
-			return err
+		if short {
+			break // the stream ended
 		}
-		drained++
 	}
 	sp.End(
 		slog.Uint64("work", drained),

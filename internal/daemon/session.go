@@ -7,6 +7,7 @@ import (
 
 	"selftune/internal/cache"
 	"selftune/internal/checkpoint"
+	"selftune/internal/fastsim"
 	"selftune/internal/obs"
 	"selftune/internal/trace"
 	"selftune/internal/tuner"
@@ -18,16 +19,22 @@ import (
 // process can run many: the fleet manager (internal/fleet) multiplexes
 // Sessions across worker shards, while Daemon composes exactly one Session
 // with a checkpoint.Store for the single-stream cmd/tuned. A Session is not
-// safe for concurrent use; its owner serialises Step calls.
+// safe for concurrent use; its owner serialises StepBatch (and Step) calls.
 //
-// Persistence stays outside: Step reports when a measurement-window boundary
-// was reached and the boundary snapshot rebuilt (Pending), and the owner
-// decides when to write it. Options.Dir, CheckpointEvery, Keep and Reg are
-// ignored at this layer.
+// The live cache is a fastsim.Kernel, stepped a window at a time: StepBatch
+// replays a whole chunk of accesses in the kernel's batched loop and runs
+// the per-window logic (measurement, search, drift, watchdog, snapshot)
+// only at the boundary. Its images are exactly cache.Configurable's, so
+// checkpoints do not depend on which of the two wrote them.
+//
+// Persistence stays outside: StepBatch reports when a measurement-window
+// boundary was reached and the boundary snapshot rebuilt (Pending), and the
+// owner decides when to write it. Options.Dir, CheckpointEvery, Keep and
+// Reg are ignored at this layer.
 type Session struct {
 	opts Options
 
-	cache   *cache.Configurable
+	cache   *fastsim.Kernel
 	search  *tuner.Online       // nil once settled
 	settled *checkpoint.Outcome // nil while the first session runs
 
@@ -71,6 +78,10 @@ type Session struct {
 	// only the search-latency histogram (opts.Hists) — never an event or a
 	// checkpoint — so it is deliberately not part of the snapshot.
 	searchT0 time.Time
+
+	// one is Step's single-access batch, kept here so Step does not
+	// allocate.
+	one [1]trace.Access
 }
 
 // NewSession starts a fresh stream loop. opts is filled with the same
@@ -78,7 +89,7 @@ type Session struct {
 func NewSession(opts Options) *Session {
 	opts.fill()
 	s := &Session{opts: opts, rec: obs.OrNop(opts.Rec), budget: opts.BudgetBytes}
-	s.cache = cache.MustConfigurable(cache.MinConfig())
+	s.cache = fastsim.Must(cache.MinConfig())
 	s.search = s.newSearch()
 	return s
 }
@@ -96,7 +107,7 @@ func ResumeSession(opts Options, st *checkpoint.State) (*Session, error) {
 		// fall back to the configured assignment.
 		s.budget = opts.BudgetBytes
 	}
-	c, err := cache.RestoreConfigurable(st.Cache)
+	c, err := fastsim.Restore(st.Cache)
 	if err != nil {
 		return nil, fmt.Errorf("daemon: recover: %w", err)
 	}
@@ -186,41 +197,74 @@ func (s *Session) appendEvent(ev checkpoint.Event) {
 	}
 }
 
-// Step feeds one access. boundary reports that a measurement-window boundary
-// was reached and Pending rebuilt — the owner's cue to consider persisting.
-// The error is a snapshot-construction failure; the access itself always
-// completes.
+// Step feeds one access: a one-access StepBatch, so the two paths cannot
+// diverge. boundary reports that a measurement-window boundary was reached
+// and Pending rebuilt — the owner's cue to consider persisting. The error
+// is a snapshot-construction failure; the access itself always completes.
 func (s *Session) Step(addr uint32, write bool) (boundary bool, err error) {
-	s.consumed++
+	kind := trace.DataRead
+	if write {
+		kind = trace.DataWrite
+	}
+	s.one[0] = trace.Access{Addr: addr, Kind: kind}
+	_, boundary, err = s.StepBatch(s.one[:])
+	return boundary, err
+}
+
+// StepBatch feeds accesses from the front of accs: up to and including the
+// one that completes a measurement window, or all of them. n is how many it
+// consumed (at least one unless accs is empty); the caller passes the rest
+// in its next call. boundary and err mean what they mean for Step, for the
+// n-th access: the per-window logic — the search's measurement and next
+// configuration, the watchdog, settle, the drift check and the boundary
+// snapshot — runs only there. Within a window the accesses go through the
+// kernel's batched loop; a settled window's misses are its counter delta.
+func (s *Session) StepBatch(accs []trace.Access) (n int, boundary bool, err error) {
+	if len(accs) == 0 {
+		return 0, false, nil
+	}
 	if s.search != nil {
 		before := s.search.CompletedWindows()
-		s.search.Access(addr, write)
-		if w := s.search.CompletedWindows(); w != before {
+		n = s.search.ReplayBatch(accs)
+		s.consumed += uint64(n)
+		completed := s.search.CompletedWindows() != before
+		if completed {
 			s.windows++
 			s.sessionWindows++
 		}
 		if s.search.Done() {
 			s.settle()
-			return true, s.boundary()
+			return n, true, s.boundary()
 		}
-		if s.search.CompletedWindows() != before {
-			if s.sessionWindows >= s.opts.WatchdogWindows {
-				s.watchdog()
-			}
-			return true, s.boundary()
+		if !completed {
+			return n, false, nil
 		}
-		return false, nil
+		if s.sessionWindows >= s.opts.WatchdogWindows {
+			s.watchdog()
+		}
+		return n, true, s.boundary()
 	}
 
-	// Settled: serve the access and watch for a phase change.
-	r := s.cache.Access(addr, write)
-	s.winAcc++
-	if !r.Hit {
-		s.winMiss++
-	}
+	// Settled: serve the window's accesses and watch for a phase change.
+	need := uint64(1)
 	if s.winAcc < s.opts.Window {
-		return false, nil
+		need = s.opts.Window - s.winAcc
 	}
+	k := min(uint64(len(accs)), need)
+	misses := s.cache.Misses()
+	s.cache.ReplayBatch(accs[:k])
+	s.consumed += k
+	s.winAcc += k
+	s.winMiss += s.cache.Misses() - misses
+	if s.winAcc < s.opts.Window {
+		return int(k), false, nil
+	}
+	return int(k), true, s.endWindow()
+}
+
+// endWindow closes a settled observation window: the first fixes the
+// miss-rate baseline, later ones re-tune on drift beyond the threshold.
+func (s *Session) endWindow() error {
 	mr := float64(s.winMiss) / float64(s.winAcc)
 	s.winAcc, s.winMiss = 0, 0
 	if !s.baselined {
@@ -230,7 +274,7 @@ func (s *Session) Step(addr uint32, write bool) (boundary bool, err error) {
 		s.baseline = mr
 		s.emit("daemon.window", s.cache.Config().String(),
 			slog.Float64("miss_rate", mr), slog.Bool("baseline", true))
-		return true, s.boundary()
+		return s.boundary()
 	}
 	drift := mr - s.baseline
 	if drift < 0 {
@@ -248,7 +292,7 @@ func (s *Session) Step(addr uint32, write bool) (boundary bool, err error) {
 			slog.Float64("threshold", s.opts.PhaseThreshold))
 		s.retune()
 	}
-	return true, s.boundary()
+	return s.boundary()
 }
 
 // settle records a finished search's outcome and switches to observing.
@@ -340,11 +384,9 @@ func (s *Session) watchdog() {
 	s.search.Close()
 	s.search = nil
 	safe := tuner.SafeConfig()
-	s.cache.AllowShrink = true
 	if err := s.cache.SetConfig(safe); err != nil {
 		panic("daemon: safe-config transition rejected: " + err.Error())
 	}
-	s.cache.AllowShrink = false
 	s.settled = &checkpoint.Outcome{Cfg: safe, Degraded: true, At: s.consumed}
 	s.appendEvent(checkpoint.Event{At: s.consumed, Kind: "watchdog", Cfg: safe})
 	s.emit("daemon.watchdog", safe.String(),
@@ -407,20 +449,57 @@ func (s *Session) NoteRecovered(gen uint64) {
 // prefix a previous life already consumed. It exists for owners that do not
 // need cancellation or persistence (Daemon.Run adds both).
 func (s *Session) Run(src trace.Source) error {
-	for skip := s.consumed; skip > 0; skip-- {
-		if _, ok := src.Next(); !ok {
-			return fmt.Errorf("daemon: stream ends at %d accesses but the checkpoint consumed %d", s.consumed-skip, s.consumed)
-		}
+	if err := skipConsumed(src, s.consumed); err != nil {
+		return err
 	}
+	buf := make([]trace.Access, runChunk)
 	for {
-		a, ok := src.Next()
-		if !ok {
-			return nil
-		}
-		if _, err := s.Step(a.Addr, a.IsWrite()); err != nil {
+		chunk := fill(src, buf)
+		if err := feed(s.StepBatch, chunk); err != nil || len(chunk) < runChunk {
 			return err
 		}
 	}
+}
+
+// feed steps all of chunk through step (a StepBatch), window by window.
+func feed(step func([]trace.Access) (int, bool, error), chunk []trace.Access) error {
+	for len(chunk) > 0 {
+		n, _, err := step(chunk)
+		if err != nil {
+			return err
+		}
+		chunk = chunk[n:]
+	}
+	return nil
+}
+
+// runChunk is how many accesses the Run loops pull from a trace.Source per
+// StepBatch round (and so between Daemon.Run's cancellation checks).
+const runChunk = 4096
+
+// fill reads up to len(buf) accesses from src into buf; a short result means
+// the stream ended.
+func fill(src trace.Source, buf []trace.Access) []trace.Access {
+	n := 0
+	for n < len(buf) {
+		a, ok := src.Next()
+		if !ok {
+			break
+		}
+		buf[n] = a
+		n++
+	}
+	return buf[:n]
+}
+
+// skipConsumed discards the prefix of src a previous life already consumed.
+func skipConsumed(src trace.Source, consumed uint64) error {
+	for skip := consumed; skip > 0; skip-- {
+		if _, ok := src.Next(); !ok {
+			return fmt.Errorf("daemon: stream ends at %d accesses but the checkpoint consumed %d", consumed-skip, consumed)
+		}
+	}
+	return nil
 }
 
 // Close releases the search goroutine, if one is running. The session keeps

@@ -34,6 +34,24 @@ func TestReplayBatchZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestSetConfigZeroAllocs pins the live kernel's reconfiguration to zero
+// heap allocations, over a cycle through all 27 configurations (shrinking
+// transitions included) on a warm kernel.
+func TestSetConfigZeroAllocs(t *testing.T) {
+	configs := cache.AllConfigs()
+	k := fastsim.Must(cache.MinConfig())
+	k.ReplayBatch(benchTrace(4096))
+	i := 0
+	if n := testing.AllocsPerRun(100, func() {
+		if err := k.SetConfig(configs[i%len(configs)]); err != nil {
+			t.Fatal(err)
+		}
+		i += 5 // coprime with 27: every transition shape comes round
+	}); n != 0 {
+		t.Errorf("SetConfig: %.0f allocs/op, want 0", n)
+	}
+}
+
 // BenchmarkFourBankFast / BenchmarkFourBankReference measure ns/access on
 // the base configuration; run with -bench to compare kernels directly.
 func BenchmarkFourBankFast(b *testing.B) {

@@ -5,20 +5,29 @@
 // that additionally expose a batched access loop (ReplayBatch), which the
 // replay engine uses to eliminate per-access interface dispatch.
 //
+// The four-bank Kernel is also the live cache of every serving session
+// (internal/daemon): it reconfigures in place with the paper's flush-free
+// §3.3 semantics (SetConfig), snapshots to and restores from cache.Image,
+// and is stepped a window at a time. cache.Configurable remains the
+// reference it is held to.
+//
 // The kernels are bit-identical to the reference simulators by construction
 // and by proof: every per-access decision — candidate-bank order, the
 // first-invalid-wins victim choice, MRU timestamps, predictor updates — is a
 // direct transcription of cache.Configurable and cache.Generic with the
 // per-access dispatch (the bank-select switch, method calls, AccessResult
-// materialisation) hoisted into tables precomputed at construction. The
-// differential oracle (oracle_test.go) and the FuzzFastSimVsReference fuzz
-// target hold the kernels to identical cache.Stats, energies and tuner
-// trajectories across all 27 configurations; a kernel change that breaks
+// materialisation) hoisted into tables precomputed per configuration. The
+// differential oracle (oracle_test.go) and the FuzzFastSimVsReference and
+// FuzzLiveVsReference fuzz targets hold the kernels to identical
+// cache.Stats, energies, tuner trajectories, reconfiguration accounting and
+// images across all 27 configurations; a kernel change that breaks
 // bit-identity fails those tests, so the fast path is only allowed to exist
 // while it is indistinguishable from the reference.
 package fastsim
 
 import (
+	"fmt"
+
 	"selftune/internal/cache"
 	"selftune/internal/trace"
 )
@@ -44,11 +53,23 @@ type frame struct {
 	dirty   bool
 }
 
-// Kernel is the fast replay kernel for the four-bank configurable cache. It
-// replays one fixed configuration from cold — the engine's per-configuration
-// replay contract — and does not support reconfiguration or a victim buffer
-// (the engine's models never attach either). The zero value is not usable;
-// construct with New.
+// emptyFrame is an invalid frame. Its sentinel block ^uint32(0) is never a
+// real one (a real block is addr>>4 < 1<<28), so the direct-mapped loop
+// folds the valid check into the block compare. Block 0 is a real address:
+// frames are emptied to emptyFrame, never to frame{}.
+var emptyFrame = frame{block: ^uint32(0)}
+
+// Kernel is the fast kernel for the four-bank configurable cache. It serves
+// both the engine's cold per-configuration replays and the live cache of a
+// serving session: SetConfig reconfigures it in place without a flush
+// exactly as cache.Configurable does, and Image/Restore round-trip its
+// state through cache.Image. It has no victim buffer (neither the engine's
+// models nor the daemon attach one). The zero value is not usable;
+// construct with New or Restore.
+//
+// Every access advances the clock and stamps the touched frames' lastUse,
+// single-way configurations included: a later move to a set-associative
+// configuration replaces by those stamps, and Image records them.
 type Kernel struct {
 	// frames is the flat bank-major frame array: frames[bank<<7|row].
 	frames [cache.NumBanks * cache.BankRows]frame
@@ -58,8 +79,9 @@ type Kernel struct {
 	stats cache.Stats
 	cfg   cache.Config
 
-	// Per-configuration tables precomputed at construction so the access
-	// loop runs without the reference simulator's bank-select switch.
+	// Per-configuration tables, recomputed by every reconfiguration so the
+	// access loop runs without the reference simulator's bank-select
+	// switch.
 	//
 	// bankTab lists the candidate banks for each value of the bank-select
 	// address bits (addr>>11)&3; nBanks is how many entries are live (the
@@ -82,11 +104,52 @@ func New(cfg cache.Config) (*Kernel, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	k := &Kernel{cfg: cfg}
+	k := &Kernel{}
+	k.configure(cfg)
+	k.resetPredictor()
+	for i := range k.frames {
+		k.frames[i] = emptyFrame
+	}
+	return k, nil
+}
+
+// Must is New that panics on an invalid configuration, mirroring
+// cache.MustConfigurable.
+func Must(cfg cache.Config) *Kernel {
+	k, err := New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return k
+}
+
+// Restore rebuilds a kernel from an image taken by Image or by
+// cache.Configurable.Image, after the same validation
+// cache.RestoreConfigurable applies (cache.Image.Validate). The restored
+// kernel behaves, access for access, exactly like the cache the image was
+// taken from.
+func Restore(img cache.Image) (*Kernel, error) {
+	if err := img.Validate(); err != nil {
+		return nil, fmt.Errorf("fastsim: restore: %w", err)
+	}
+	k := Must(img.Cfg)
+	copy(k.pred[:], img.Pred)
+	k.clock = img.Clock
+	k.stats = img.Stats
+	for _, f := range img.Frames {
+		k.frames[f.Bank<<rowShift|f.Row] = frame{valid: true, dirty: f.Dirty, block: f.Block, lastUse: f.LastUse}
+	}
+	return k, nil
+}
+
+// configure installs cfg and recomputes the per-configuration tables.
+func (k *Kernel) configure(cfg cache.Config) {
+	k.cfg = cfg
 	k.nBanks = cfg.Ways
 	k.predict = cfg.WayPredict
 	k.sublines = uint32(cfg.SublinesPerLine())
 	k.activeBanks = cfg.ActiveBanks()
+	k.predSelMask = 0
 	if cfg.SizeBytes == 8192 && cfg.Ways == 2 {
 		k.predSelMask = 1
 	}
@@ -111,45 +174,104 @@ func New(cfg cache.Config) (*Kernel, error) {
 			tab[0] = 0
 		}
 	}
+}
+
+func (k *Kernel) resetPredictor() {
 	for i := range k.pred {
 		k.pred[i] = noPrediction
 	}
-	// Sentinel blocks let the direct-mapped loop fold the valid check into
-	// the block compare: a real block is addr>>4 < 1<<28, so all-ones never
-	// matches. The general loop still checks valid, which is also still
-	// false; the sentinel is inert there.
+}
+
+// SetConfig reconfigures the kernel in place with cache.Configurable's
+// flush-free §3.3 semantics: contents are preserved, a reconfiguration is
+// counted, banks that way shutdown powers off lose their contents (their
+// dirty lines are charged as SettleWritebacks), dirty lines stranded in
+// frames their block no longer maps to are counted, and the way predictor
+// restarts untrained. Unlike the reference there is no AllowShrink guard:
+// the kernel's owner (the tuner) decides which transitions to make, and a
+// shrink pays exactly what the reference charges with AllowShrink set.
+// Allocation-free.
+func (k *Kernel) SetConfig(next cache.Config) error {
+	if err := next.Validate(); err != nil {
+		return err
+	}
+	if next == k.cfg {
+		return nil
+	}
+	oldBanks := k.activeBanks
+	k.stats.Reconfigurations++
+	k.configure(next)
+	for i := k.activeBanks << rowShift; i < oldBanks<<rowShift; i++ {
+		f := &k.frames[i]
+		if f.valid && f.dirty {
+			k.stats.SettleWritebacks++
+		}
+		*f = emptyFrame
+	}
+	for i := 0; i < k.activeBanks<<rowShift; i++ {
+		f := &k.frames[i]
+		if !f.valid || !f.dirty {
+			continue
+		}
+		// The reference's mapping test, candidateBanks(block<<4).
+		banks := &k.bankTab[((f.block<<4)>>11)&3]
+		mapped := false
+		for w := 0; w < k.nBanks; w++ {
+			if int(banks[w]) == i>>rowShift {
+				mapped = true
+				break
+			}
+		}
+		if !mapped {
+			k.stats.StrandedDirty++
+		}
+	}
+	k.resetPredictor()
+	return nil
+}
+
+// Image captures the kernel's complete state as the value
+// cache.Configurable.Image produces for the same state — same frame order
+// (bank-major), same predictor table — so checkpoints are byte-identical
+// whichever of the two wrote them. The error is always nil; it is there so
+// both caches share one snapshot signature.
+func (k *Kernel) Image() (cache.Image, error) {
+	img := cache.Image{
+		Cfg:   k.cfg,
+		Clock: k.clock,
+		Stats: k.stats,
+		Pred:  append([]uint8(nil), k.pred[:]...),
+	}
 	for i := range k.frames {
-		k.frames[i].block = ^uint32(0)
+		if f := &k.frames[i]; f.valid {
+			img.Frames = append(img.Frames, cache.FrameImage{
+				Bank: i >> rowShift, Row: i & (cache.BankRows - 1),
+				Dirty: f.dirty, Block: f.block, LastUse: f.lastUse,
+			})
+		}
 	}
-	return k, nil
+	return img, nil
 }
 
-// Must is New that panics on an invalid configuration, mirroring
-// cache.MustConfigurable.
-func Must(cfg cache.Config) *Kernel {
-	k, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return k
-}
-
-// Config returns the configuration the kernel replays.
+// Config returns the configuration in force.
 func (k *Kernel) Config() cache.Config { return k.cfg }
 
 // Stats returns the counters accumulated since the last ResetStats.
 func (k *Kernel) Stats() cache.Stats { return k.stats }
 
+// Misses is Stats().Misses without copying the whole counter set: the
+// serving loop reads it around every chunk it replays.
+func (k *Kernel) Misses() uint64 { return k.stats.Misses }
+
 // ResetStats zeroes the counters without touching contents.
 func (k *Kernel) ResetStats() { k.stats = cache.Stats{} }
 
 // ReplayBatch replays a block of accesses through the kernel. It is the hot
-// loop of every sweep: allocation-free (pinned by test and benchmark) and
-// free of per-access interface dispatch. Instruction fetches and loads are
-// reads; only trace.DataWrite stores. Single-way configurations without way
-// prediction (a third of the space) take a specialised loop that skips the
-// clock and LRU bookkeeping outright — with one candidate bank the
-// timestamps are never compared and never observable.
+// loop of every sweep and of every live session: allocation-free (pinned by
+// test and benchmark) and free of per-access interface dispatch.
+// Instruction fetches and loads are reads; only trace.DataWrite stores.
+// Single-way configurations (a third of the space) take a specialised loop
+// without the way probe, the victim search or the predictor.
 func (k *Kernel) ReplayBatch(accs []trace.Access) {
 	if k.nBanks == 1 && !k.predict {
 		k.replayDM(accs)
@@ -220,14 +342,18 @@ func (k *Kernel) ReplayBatch(accs []trace.Access) {
 
 // replayDM is the single-way loop. Sentinel blocks fold the valid check into
 // the block compare; counters accumulate in registers and flush once per
-// batch. The clock is deliberately not advanced: with a single candidate
-// bank no replacement decision ever reads a timestamp.
+// batch. It keeps the clock and the lastUse stamps exactly as the general
+// loop does: with one candidate bank no replacement decision reads them
+// now, but a later reconfiguration to a set-associative configuration does,
+// and so does Image.
 func (k *Kernel) replayDM(accs []trace.Access) {
 	sublines := k.sublines
+	clock := k.clock
 	var hits, misses, writes, writebacks, filled uint64
 	for i := range accs {
 		addr := accs[i].Addr
 		write := accs[i].Kind == trace.DataWrite
+		clock++
 		if write {
 			writes++
 		}
@@ -236,6 +362,7 @@ func (k *Kernel) replayDM(accs []trace.Access) {
 		bank := uint32(k.bankTab[(addr>>11)&3][0])
 		f := &k.frames[(bank<<rowShift|r)&frameMask]
 		if f.block == block {
+			f.lastUse = clock
 			if write {
 				f.dirty = true
 			}
@@ -247,22 +374,24 @@ func (k *Kernel) replayDM(accs []trace.Access) {
 		for s := uint32(0); s < sublines; s++ {
 			sb := lineBase + s
 			ff := &k.frames[(bank<<rowShift|(sb&(cache.BankRows-1)))&frameMask]
-			if ff.block == sb {
-				// Existing copy wins; only the accessed subline can dirty it.
-				if sb == block && write {
-					ff.dirty = true
+			// An existing copy wins (never the accessed subline: its
+			// frame just missed); otherwise evict and fill.
+			if ff.block != sb {
+				if ff.dirty { // invalid frames are never dirty
+					writebacks++
 				}
-				continue
+				ff.valid = true
+				ff.block = sb
+				ff.dirty = false
+				filled++
 			}
-			if ff.dirty { // invalid frames are never dirty
-				writebacks++
-			}
-			ff.valid = true
-			ff.block = sb
-			ff.dirty = sb == block && write
-			filled++
+			ff.lastUse = clock
 		}
+		// The accessed subline is MRU.
+		f.lastUse = clock + 1
+		f.dirty = write
 	}
+	k.clock = clock
 	st := &k.stats
 	st.Accesses += uint64(len(accs))
 	st.Writes += writes

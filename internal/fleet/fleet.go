@@ -1224,8 +1224,8 @@ func (m *Manager) process(it item) {
 	}
 }
 
-// runBatch steps one batch on the shard worker, converting a panic anywhere
-// under Step — tuner, meter, persistence — into an error on this session
+// runBatch steps one batch on the shard worker a window at a time
+// (Daemon.StepBatch), converting a panic anywhere under it — tuner, meter, persistence — into an error on this session
 // only: the worker survives and keeps serving its other tenants.
 func (m *Manager) runBatch(s *session, d *daemon.Daemon, accs []trace.Access) (failure error) {
 	defer func() {
@@ -1234,13 +1234,17 @@ func (m *Manager) runBatch(s *session, d *daemon.Daemon, accs []trace.Access) (f
 			failure = fmt.Errorf("fleet: worker panic: %v", r)
 		}
 	}()
-	for _, a := range accs {
-		if err := d.Step(a.Addr, a.IsWrite()); err != nil {
+	for len(accs) > 0 {
+		n, boundary, err := d.StepBatch(accs)
+		if err != nil {
 			return err
 		}
-		// Per-access so a settle followed by a re-tune inside one batch is
-		// still captured; the guard is two pointer loads.
-		m.maybeProfile(s, d)
+		accs = accs[n:]
+		// Every settle is a boundary, so checking at each one still
+		// captures a settle followed by a re-tune inside one batch.
+		if boundary {
+			m.maybeProfile(s, d)
+		}
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"os"
 	"sync"
+	"syscall"
 	"time"
 
 	"selftune/internal/trace"
@@ -448,6 +449,14 @@ func (m *Manager) ingestFrames(br *byteReader, resp *responder) error {
 	var accs []trace.Access
 	for {
 		kind, err := br.ReadByte()
+		if errors.Is(err, syscall.ECONNRESET) && !ownsLive(owned) {
+			// A client that hangs up without reading its done-acks makes
+			// its kernel answer the unread bytes with a reset instead of
+			// an orderly EOF. At a frame boundary, with every session it
+			// opened already closed, the reset loses nothing: it is the
+			// same clean end.
+			return nil
+		}
 		if err == io.EOF {
 			// Clean end: a truncated per-session stream is that
 			// session's failure, surfaced before the graceful closes.
@@ -554,6 +563,17 @@ func (m *Manager) ingestFrames(br *byteReader, resp *responder) error {
 			return fmt.Errorf("fleet: unknown frame type 0x%02x", kind)
 		}
 	}
+}
+
+// ownsLive reports whether a connection still feeds a session: one opened,
+// not yet closed, and not failed.
+func ownsLive(owned map[string]*ingestSession) bool {
+	for _, is := range owned {
+		if is != nil && !is.failed {
+			return true
+		}
+	}
+	return false
 }
 
 // byteReader adapts any reader to the io.ByteReader binary.ReadUvarint

@@ -2,7 +2,10 @@ package fleet
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"strings"
+	"syscall"
 	"testing"
 
 	"selftune/internal/daemon"
@@ -144,6 +147,41 @@ func TestIngestTruncatedSessionStreamIsThatSessionsError(t *testing.T) {
 	}
 	if got := m.Sessions(); len(got) != 0 {
 		t.Fatalf("sessions still live after ingest: %v", got)
+	}
+}
+
+// resetReader fails every read with a connection reset.
+type resetReader struct{}
+
+func (resetReader) Read([]byte) (int, error) { return 0, syscall.ECONNRESET }
+
+// TestIngestResetAfterLastCloseIsCleanEnd pins how a connection reset ends
+// ingest: after every session the client opened is closed it is a clean
+// end (a client that hangs up without reading its done-acks gets a reset,
+// not an EOF, from its kernel); with a session still being fed it is the
+// connection's error.
+func TestIngestResetAfterLastCloseIsCleanEnd(t *testing.T) {
+	good := encodeSTRC(t, genTrace(t, "crc", 1_000))
+	for _, closed := range []bool{true, false} {
+		m, err := New(Options{Shards: 1, Session: daemon.Options{Window: 500}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var conn bytes.Buffer
+		cw, _ := NewConnWriter(&conn)
+		cw.Open("r")
+		cw.Data("r", good)
+		if closed {
+			cw.Close("r")
+		}
+		err = m.Ingest(io.MultiReader(&conn, resetReader{}))
+		if closed && err != nil {
+			t.Errorf("reset after the last close: ingest = %v, want nil", err)
+		}
+		if !closed && !errors.Is(err, syscall.ECONNRESET) {
+			t.Errorf("reset with a session open: ingest = %v, want the reset", err)
+		}
+		m.Close()
 	}
 }
 

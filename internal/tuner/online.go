@@ -6,7 +6,20 @@ import (
 	"selftune/internal/cache"
 	"selftune/internal/energy"
 	"selftune/internal/obs"
+	"selftune/internal/trace"
 )
+
+// Live is the cache an Online session tunes: the reference
+// cache.Configurable or the live fastsim.Kernel a daemon session serves
+// from. Online calls it once per chunk of accesses on the batched path
+// (ReplayBatch), never per access.
+type Live interface {
+	cache.Simulator
+	Config() cache.Config
+	SetConfig(cache.Config) error
+	ReplayBatch([]trace.Access)
+	Image() (cache.Image, error)
+}
 
 // Online drives a live configurable cache through the heuristic without
 // ever flushing it, the way the on-chip tuner hardware does: each candidate
@@ -16,7 +29,7 @@ import (
 // (§3.3); the final settle to the chosen configuration is the only
 // transition that may shrink, and its writeback cost is recorded.
 type Online struct {
-	cache  *cache.Configurable
+	cache  Live
 	params *energy.Params
 	window uint64
 	warmup uint64
@@ -106,8 +119,9 @@ func NewOnlineObserved(c *cache.Configurable, p *energy.Params, window uint64, m
 // instead of the smallest configuration when start is non-zero — the warm
 // re-search a fleet reallocation triggers. start must be a valid
 // configuration within the budget (ClampToBudget produces one); the live
-// cache is reconfigured to it before the first measurement window.
-func NewOnlineConstrained(c *cache.Configurable, p *energy.Params, window uint64, meter Meter, rec obs.Recorder, session uint64, maxBytes int, start cache.Config) *Online {
+// cache is reconfigured to it before the first measurement window. c may be
+// either Live cache (a daemon passes its fastsim kernel).
+func NewOnlineConstrained(c Live, p *energy.Params, window uint64, meter Meter, rec obs.Recorder, session uint64, maxBytes int, start cache.Config) *Online {
 	o := &Online{
 		cache:     c,
 		params:    p,
@@ -287,11 +301,15 @@ func (o *Online) finish(res SearchResult) {
 // only the dirty lines of the deactivated banks — never a full flush.
 func (o *Online) apply(cfg cache.Config) {
 	before := o.cache.Stats().SettleWritebacks
-	o.cache.AllowShrink = true
+	// The reference refuses to shrink unless told to; fastsim.Kernel
+	// leaves every transition to its owner.
+	if ref, ok := o.cache.(*cache.Configurable); ok {
+		ref.AllowShrink = true
+		defer func() { ref.AllowShrink = false }()
+	}
 	if err := o.cache.SetConfig(cfg); err != nil {
 		panic("tuner: online transition rejected: " + err.Error())
 	}
-	o.cache.AllowShrink = false
 	o.settleWB += o.cache.Stats().SettleWritebacks - before
 }
 
@@ -336,30 +354,75 @@ func (o *Online) SettleWritebacks() uint64 { return o.settleWB }
 // session when the window completes.
 func (o *Online) Access(addr uint32, write bool) cache.AccessResult {
 	r := o.cache.Access(addr, write)
-	if o.pending {
-		if o.warmupLeft > 0 {
-			o.warmupLeft--
-			if o.warmupLeft == 0 {
-				o.cache.ResetStats()
-			}
-			return r
+	o.served(1)
+	return r
+}
+
+// ReplayBatch feeds accesses through the cache a chunk at a time: it
+// consumes them up to and including the one that completes a measurement
+// window (measured, handed to the search, and the next configuration
+// applied, exactly as Access does) or the whole slice, and returns how many
+// it consumed. Within a window it replays in at most two chunks: up to the
+// end of the warmup (where the counters restart), then up to the window's
+// end. Once the search has settled or been aborted it replays the whole
+// slice as a plain cache.
+func (o *Online) ReplayBatch(accs []trace.Access) int {
+	n := 0
+	for n < len(accs) {
+		k := len(accs) - n
+		if o.pending {
+			k = int(min(uint64(k), o.untilEvent()))
 		}
-		o.count++
-		if o.count >= o.window {
-			o.pending = false
-			cfg := o.cache.Config()
-			st := o.cache.Stats()
-			if o.meter != nil {
-				st = o.meter(cfg, st)
-			}
-			b := o.params.Evaluate(cfg, st)
-			r := EvalResult{Cfg: cfg, Energy: b.Total(), Breakdown: b, Stats: st}
-			o.history = append(o.history, r)
-			o.resp <- r
-			o.advance()
+		o.cache.ReplayBatch(accs[n : n+k])
+		n += k
+		if o.served(uint64(k)) {
+			break
 		}
 	}
-	return r
+	return n
+}
+
+// untilEvent is how many accesses the cache serves before the pending
+// window's next bookkeeping point: the end of the warmup, or the end of the
+// window (at least one access, so a zero window still consumes).
+func (o *Online) untilEvent() uint64 {
+	if o.warmupLeft > 0 {
+		return o.warmupLeft
+	}
+	return max(o.window-o.count, 1)
+}
+
+// served accounts k accesses just served by the cache (k never crosses the
+// bookkeeping point untilEvent reports) and reports whether they completed
+// a measurement window. Access and ReplayBatch share it, so the per-access
+// and batched paths cannot diverge.
+func (o *Online) served(k uint64) bool {
+	if !o.pending {
+		return false
+	}
+	if o.warmupLeft > 0 {
+		o.warmupLeft -= k
+		if o.warmupLeft == 0 {
+			o.cache.ResetStats()
+		}
+		return false
+	}
+	o.count += k
+	if o.count < o.window {
+		return false
+	}
+	o.pending = false
+	cfg := o.cache.Config()
+	st := o.cache.Stats()
+	if o.meter != nil {
+		st = o.meter(cfg, st)
+	}
+	b := o.params.Evaluate(cfg, st)
+	r := EvalResult{Cfg: cfg, Energy: b.Total(), Breakdown: b, Stats: st}
+	o.history = append(o.history, r)
+	o.resp <- r
+	o.advance()
+	return true
 }
 
 // Done reports whether the search has settled.
@@ -373,4 +436,4 @@ func (o *Online) Degraded() bool { return o.finished && o.result.Degraded }
 func (o *Online) Result() SearchResult { return o.result }
 
 // Cache returns the cache under tuning.
-func (o *Online) Cache() *cache.Configurable { return o.cache }
+func (o *Online) Cache() Live { return o.cache }

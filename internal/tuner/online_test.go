@@ -1,10 +1,13 @@
 package tuner
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"selftune/internal/cache"
 	"selftune/internal/energy"
+	"selftune/internal/fastsim"
 	"selftune/internal/trace"
 	"selftune/internal/workload"
 )
@@ -144,4 +147,51 @@ func TestOnlineAbort(t *testing.T) {
 		t.Error("configuration changed after abort")
 	}
 	o.Abort() // idempotent
+}
+
+// TestOnlineReplayBatchMatchesAccess pins the batched path to the
+// per-access one: a session fed in random-sized chunks through ReplayBatch
+// — on the reference cache and on the live fastsim kernel — examines the
+// same configurations, measures the same windows and leaves the same cache
+// image as one fed a single Access at a time. Each chunk stops exactly at
+// the access that completes a window.
+func TestOnlineReplayBatchMatchesAccess(t *testing.T) {
+	p := energy.DefaultParams()
+	for _, name := range []string{"crc", "blit", "ucbqsort"} {
+		prof, _ := workload.ByName(name)
+		_, accs := trace.Split(trace.NewSliceSource(prof.Generate(400_000)))
+		want := NewOnline(cache.MustConfigurable(cache.MinConfig()), p, 3000)
+		for _, a := range accs {
+			want.Access(a.Addr, a.IsWrite())
+		}
+		wantSnap, err := want.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantImg, _ := want.Cache().Image()
+		for _, c := range []Live{cache.MustConfigurable(cache.MinConfig()), fastsim.Must(cache.MinConfig())} {
+			o := NewOnlineConstrained(c, p, 3000, nil, nil, 0, 0, cache.Config{})
+			r := rand.New(rand.NewSource(int64(len(name))))
+			for rest := accs; len(rest) > 0; {
+				before := o.CompletedWindows()
+				n := o.ReplayBatch(rest[:min(len(rest), 1+r.Intn(5000))])
+				if n < 1 {
+					t.Fatalf("%s %T: ReplayBatch consumed nothing", name, c)
+				}
+				if o.CompletedWindows() != before && !o.AtWindowBoundary() {
+					t.Fatalf("%s %T: a chunk ran past the window it completed", name, c)
+				}
+				rest = rest[n:]
+			}
+			snap, err := o.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			img, _ := o.Cache().Image()
+			if !reflect.DeepEqual(snap, wantSnap) || !reflect.DeepEqual(img, wantImg) {
+				t.Errorf("%s %T: batched session diverged from the per-access one (%d vs %d windows, settled %v vs %v)",
+					name, c, len(snap.History), len(wantSnap.History), snap.Applied, wantSnap.Applied)
+			}
+		}
+	}
 }

@@ -148,8 +148,9 @@ func ResumeOnline(c *cache.Configurable, p *energy.Params, st SessionState, mete
 // The replayed transcript prefix re-emits its "tuner.step" events with
 // coordinates identical to the first life's — the determinism contract that
 // lets a killed-and-resumed daemon's event log be deduplicated by
-// (session, window, step) instead of diverging.
-func ResumeOnlineObserved(c *cache.Configurable, p *energy.Params, st SessionState, meter Meter, rec obs.Recorder, session uint64) (*Online, error) {
+// (session, window, step) instead of diverging. c may be either Live cache
+// (a daemon passes its fastsim kernel).
+func ResumeOnlineObserved(c Live, p *energy.Params, st SessionState, meter Meter, rec obs.Recorder, session uint64) (*Online, error) {
 	if st.Window == 0 {
 		return nil, fmt.Errorf("tuner: resume: zero measurement window")
 	}
