@@ -50,6 +50,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzLiveVsReference -fuzztime=$(FUZZTIME) ./internal/fastsim/
 	$(GO) test -run='^$$' -fuzz=FuzzIngest -fuzztime=$(FUZZTIME) ./internal/fleet/
 	$(GO) test -run='^$$' -fuzz=FuzzChaosnetFraming -fuzztime=$(FUZZTIME) ./internal/fleet/
+	$(GO) test -run='^$$' -fuzz=FuzzResumeOnline -fuzztime=$(FUZZTIME) ./internal/tuner/
 
 # check is the tier-1 gate: build, vet, and the full test suite — which
 # includes the checkpoint round-trip/corruption-recovery tests and the

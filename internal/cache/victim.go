@@ -18,9 +18,6 @@ func NewVictimBuffer(n int) *VictimBuffer {
 	return &VictimBuffer{entries: make([]frame, n)}
 }
 
-// Entries returns the buffer capacity.
-func (v *VictimBuffer) Entries() int { return len(v.entries) }
-
 // take removes block from the buffer if present, returning its dirty bit.
 func (v *VictimBuffer) take(block uint32) (dirty, ok bool) {
 	for i := range v.entries {

@@ -309,8 +309,7 @@ func (d *Daemon) drain(ctx context.Context, src trace.Source, buf []trace.Access
 
 // Close persists the most recent boundary snapshot (so a graceful shutdown
 // resumes exactly where it stopped, losing at most the partial window after
-// the boundary) and releases the session goroutine. Safe to call more than
-// once.
+// the boundary) and ends the session's search. Safe to call more than once.
 func (d *Daemon) Close() error {
 	var err error
 	if d.store != nil && d.sess.Pending() != nil && d.boundaries > 0 {
@@ -322,8 +321,8 @@ func (d *Daemon) Close() error {
 
 // Kill abandons the daemon without persisting anything — the chaos
 // harness's stand-in for SIGKILL. Durable state stays whatever the periodic
-// checkpoints already wrote; only the in-process search goroutine is
-// released (a real kill would take it down with the process).
+// checkpoints already wrote; only the in-process search is dropped (a real
+// kill would take it down with the process).
 func (d *Daemon) Kill() { d.sess.Kill() }
 
 // SetBudget changes the capacity assignment (see Session.SetBudget) and

@@ -502,8 +502,8 @@ func skipConsumed(src trace.Source, consumed uint64) error {
 	return nil
 }
 
-// Close releases the search goroutine, if one is running. The session keeps
-// its state (and Pending snapshot) readable. Safe to call more than once.
+// Close ends the search, if one is running. The session keeps its state
+// (and Pending snapshot) readable. Safe to call more than once.
 func (s *Session) Close() {
 	if s.search != nil {
 		s.search.Close()
@@ -511,8 +511,8 @@ func (s *Session) Close() {
 }
 
 // Kill abandons the session without any shutdown work — the chaos harness's
-// stand-in for SIGKILL. Only the in-process search goroutine is released (a
-// real kill would take it down with the process).
+// stand-in for SIGKILL. Only the in-process search is dropped (a real kill
+// would take it down with the process).
 func (s *Session) Kill() {
 	if s.search != nil {
 		s.search.Close()

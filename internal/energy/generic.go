@@ -37,8 +37,3 @@ func (p *Params) GenericEvaluate(cfg cache.GenericConfig, st cache.Stats) Breakd
 	b.Static = float64(b.Cycles) * p.Tech.LeakagePower(cfg.SizeBytes, genericTagBits(cfg)) / p.ClockHz
 	return b
 }
-
-// GenericTotal is shorthand for GenericEvaluate(...).Total().
-func (p *Params) GenericTotal(cfg cache.GenericConfig, st cache.Stats) float64 {
-	return p.GenericEvaluate(cfg, st).Total()
-}

@@ -748,7 +748,7 @@ func (m *Manager) quarantine(s *session, cause error) {
 	revives := s.revives
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	// Release the daemon's search goroutine; it is never stepped again.
+	// Drop the daemon's search; it is never stepped again.
 	// Durable state stays whatever the periodic checkpoints wrote.
 	d.Kill()
 

@@ -35,12 +35,10 @@ type Online struct {
 	warmup uint64
 	meter  Meter
 
-	req  chan cache.Config
-	resp chan EvalResult
-	done chan SearchResult
-	quit chan struct{}
+	// search is the heuristic in progress, nil once the session has
+	// settled or been aborted. While it is set a window is being measured.
+	search *Searcher
 
-	pending    bool
 	count      uint64
 	warmupLeft uint64
 	finished   bool
@@ -49,19 +47,17 @@ type Online struct {
 	settleWB   uint64
 
 	// rec and sessionID are the telemetry seam: every heuristic step is
-	// recorded as one event keyed (session, window, step, config). fed
-	// counts measurements consumed by the search — it is touched only by
-	// the search goroutine, and on resume the transcript replay advances
-	// it identically, so re-executed windows re-emit identical events.
+	// recorded as one event keyed (session, window, step, config).
 	rec       obs.Recorder
 	sessionID uint64
-	fed       uint64
 
 	// history records every window measurement handed to the search, in
 	// order — the externally visible transcript of the search's state
-	// machine. Because the heuristic is a deterministic function of its
-	// measurement sequence, replaying history reconstructs the search
-	// exactly; Snapshot/ResumeOnline (session.go) build on this.
+	// machine. Its length is the window coordinate telemetry events carry.
+	// Because the heuristic is a deterministic function of its measurement
+	// sequence, feeding history to a fresh Searcher reconstructs the search
+	// exactly (and re-emits identical events); Snapshot/ResumeOnline
+	// (session.go) build on this.
 	history []EvalResult
 
 	// maxBytes and start define the constrained space the session searches:
@@ -134,31 +130,25 @@ func NewOnlineConstrained(c Live, p *energy.Params, window uint64, meter Meter, 
 		// re-missing once) out of the measurement, which would
 		// otherwise bias the sweep against growth steps.
 		warmup:   window / 4,
-		req:      make(chan cache.Config),
-		resp:     make(chan EvalResult),
-		done:     make(chan SearchResult, 1),
-		quit:     make(chan struct{}),
 		maxBytes: maxBytes,
 		start:    start,
 	}
-	// The search logic runs in its own goroutine; Evaluate blocks until
-	// the measurement window completes. This reuses the exact heuristic
-	// implementation for the online hardware behaviour.
+	// Each measurement window ends in served, which feeds the reading to
+	// the search and applies the configuration it asks for next.
 	o.beginSearchSpan()
-	o.startSearch(EvaluatorFunc(o.liveEvaluate))
+	o.search = NewSearcher(PaperOrder, o.searchSpace(), o.traceStep)
 	o.advance()
 	return o
 }
 
-// beginSearchSpan opens the session's "tuner.search" span. It must run
-// before the search goroutine can emit its first "tuner.step" (i.e. before
-// startSearch for a fresh session, and before the transcript replay for a
-// resumed one) so the begin event always precedes the steps it encloses.
+// beginSearchSpan opens the session's "tuner.search" span at window 0. It
+// must run before the search emits its first "tuner.step" (before the first
+// request of a fresh session, and before the transcript replay of a resumed
+// one) so the begin event always precedes the steps it encloses.
 func (o *Online) beginSearchSpan() {
 	o.searchSpan = obs.BeginSpan(o.rec, nil, obs.Event{
 		Name:    "tuner.search",
 		Session: o.sessionID,
-		Window:  o.fed,
 		Fields:  []slog.Attr{slog.Int("budget_bytes", o.maxBytes)},
 	})
 }
@@ -176,39 +166,13 @@ func (o *Online) searchSpace() Space {
 // MaxBytes is the session's capacity budget, 0 when unconstrained.
 func (o *Online) MaxBytes() int { return o.maxBytes }
 
-// startSearch launches the search goroutine over eval. The evaluator is
-// wrapped to count measurements consumed (o.fed), which is the window
-// coordinate telemetry events carry; both the counter and the trace hook
-// run on the search goroutine only.
-func (o *Online) startSearch(eval Evaluator) {
-	counted := EvaluatorFunc(func(cfg cache.Config) EvalResult {
-		r := eval.Evaluate(cfg)
-		o.fed++
-		return r
-	})
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(abortSession); ok {
-					return // Abort unwound the search
-				}
-				panic(r)
-			}
-		}()
-		res := SearchTraced(counted, PaperOrder, o.searchSpace(), o.traceStep)
-		o.done <- res
-		close(o.req)
-	}()
-}
-
-// traceStep records one heuristic decision. It runs on the search goroutine,
-// strictly between receiving a measurement and requesting the next one, so
-// it is ordered with (and never races) the access loop.
+// traceStep records one heuristic decision. The search makes it while
+// consuming the reading just appended to history.
 func (o *Online) traceStep(st SearchStep) {
 	if !o.rec.Enabled() {
 		return
 	}
-	win := o.fed
+	win := uint64(len(o.history))
 	if win > 0 {
 		win-- // the window that produced this measurement
 	}
@@ -228,52 +192,36 @@ func (o *Online) traceStep(st SearchStep) {
 	})
 }
 
-// liveEvaluate is the search side of the window rendezvous: request a
-// configuration, block until Access completes a measurement window over it.
-func (o *Online) liveEvaluate(cfg cache.Config) EvalResult {
-	select {
-	case o.req <- cfg:
-	case <-o.quit:
-		panic(abortSession{})
+// advance applies the search's next request, or settles the session when
+// the search has ended.
+func (o *Online) advance() {
+	req, ok := o.search.Next()
+	if !ok {
+		o.finish(o.search.Result())
+		return
 	}
-	select {
-	case r := <-o.resp:
-		return r
-	case <-o.quit:
-		panic(abortSession{})
-	}
+	o.arm(req.Cfg)
 }
 
-// advance applies the search's next requested configuration, or completes.
-func (o *Online) advance() {
-	select {
-	case res := <-o.done:
-		o.finish(res)
-	case cfg, ok := <-o.req:
-		if !ok {
-			// The search goroutine closed req after publishing its
-			// result; the select may observe the close first.
-			o.finish(<-o.done)
-			return
-		}
-		o.apply(cfg)
-		o.cache.ResetStats()
-		o.count = 0
-		o.warmupLeft = o.warmup
-		o.pending = true
-	}
+// arm applies cfg and starts measuring it: a fresh warmup, then a window.
+func (o *Online) arm(cfg cache.Config) {
+	o.apply(cfg)
+	o.cache.ResetStats()
+	o.count = 0
+	o.warmupLeft = o.warmup
 }
 
 func (o *Online) finish(res SearchResult) {
 	o.result = res
 	o.finished = true
+	o.search = nil
 	o.apply(res.Best.Cfg)
 	// Close the search span first: its end (work units, not wall-clock)
 	// precedes the settle decision it explains.
 	o.searchSpan.End(
 		slog.Uint64("work", uint64(res.NumExamined())),
 		slog.String("unit", "configs"),
-		slog.Uint64("windows", o.fed))
+		slog.Uint64("windows", uint64(len(o.history))))
 	if o.rec.Enabled() {
 		fields := []slog.Attr{
 			slog.Float64("energy", res.Best.Energy),
@@ -287,7 +235,7 @@ func (o *Online) finish(res SearchResult) {
 		o.rec.Record(obs.Event{
 			Name:    "tuner.settle",
 			Session: o.sessionID,
-			Window:  o.fed,
+			Window:  uint64(len(o.history)),
 			Step:    uint64(res.NumExamined()),
 			Config:  res.Best.Cfg.String(),
 			Fields:  fields,
@@ -313,28 +261,24 @@ func (o *Online) apply(cfg cache.Config) {
 	o.settleWB += o.cache.Stats().SettleWritebacks - before
 }
 
-// abortSession unwinds the search goroutine when Abort is called.
-type abortSession struct{}
-
-// Abort ends an unfinished session: the search goroutine unwinds, the cache
-// keeps its current configuration, and subsequent Access calls behave as a
-// plain cache. Harmless after completion.
+// Abort ends an unfinished session: the search is dropped, the cache keeps
+// its current configuration, and subsequent Access calls behave as a plain
+// cache. Harmless after completion.
 func (o *Online) Abort() {
 	if o.finished || o.aborted {
 		return
 	}
 	o.aborted = true
-	o.pending = false
-	close(o.quit)
+	o.search = nil
 }
 
 // Aborted reports whether the session was cancelled.
 func (o *Online) Aborted() bool { return o.aborted }
 
-// Close ends the session (see Abort) and releases the search goroutine. It
-// is safe to call any number of times, before or after the search settles,
-// and never returns an error; it exists so daemons can manage a session with
-// the usual io.Closer discipline.
+// Close ends the session (see Abort). It is safe to call any number of
+// times, before or after the search settles, and never returns an error; it
+// exists so daemons can manage a session with the usual io.Closer
+// discipline.
 func (o *Online) Close() error {
 	o.Abort()
 	return nil
@@ -370,7 +314,7 @@ func (o *Online) ReplayBatch(accs []trace.Access) int {
 	n := 0
 	for n < len(accs) {
 		k := len(accs) - n
-		if o.pending {
+		if o.search != nil {
 			k = int(min(uint64(k), o.untilEvent()))
 		}
 		o.cache.ReplayBatch(accs[n : n+k])
@@ -397,7 +341,7 @@ func (o *Online) untilEvent() uint64 {
 // a measurement window. Access and ReplayBatch share it, so the per-access
 // and batched paths cannot diverge.
 func (o *Online) served(k uint64) bool {
-	if !o.pending {
+	if o.search == nil {
 		return false
 	}
 	if o.warmupLeft > 0 {
@@ -411,7 +355,6 @@ func (o *Online) served(k uint64) bool {
 	if o.count < o.window {
 		return false
 	}
-	o.pending = false
 	cfg := o.cache.Config()
 	st := o.cache.Stats()
 	if o.meter != nil {
@@ -420,7 +363,7 @@ func (o *Online) served(k uint64) bool {
 	b := o.params.Evaluate(cfg, st)
 	r := EvalResult{Cfg: cfg, Energy: b.Total(), Breakdown: b, Stats: st}
 	o.history = append(o.history, r)
-	o.resp <- r
+	o.search.Feed(r)
 	o.advance()
 	return true
 }

@@ -82,7 +82,3 @@ func remeasure(eval Evaluator, cfg cache.Config) EvalResult {
 	}
 	return eval.Evaluate(cfg)
 }
-
-// searchFault unwinds a search whose readings stayed implausible after the
-// re-measure; SearchInSpace recovers it into a Degraded result.
-type searchFault struct{ err error }

@@ -125,50 +125,147 @@ type SearchStep struct {
 	Stop bool
 }
 
-// search drives one sweep-per-parameter hill climb.
-type search struct {
-	eval  Evaluator
+// Request is one measurement a Searcher asks for: the configuration to
+// measure, and whether it is the re-measure of an implausible reading.
+type Request struct {
+	Cfg       cache.Config
+	Remeasure bool
+}
+
+// Searcher is the Figure 6 heuristic as an explicit step machine, the
+// software form of the §3.5 FSMD's parameter and value state machines. It
+// never measures anything itself: Next names the configuration it wants
+// measured, Feed hands it the reading, and each plausible reading is one
+// decision. Because its state is a pure function of the readings fed,
+// feeding a recorded transcript rebuilds it exactly. The offline search,
+// the online tuner and session resume all drive this one implementation.
+//
+// Readings follow robust.go's policy: an implausible reading asks for a
+// re-measure of the same configuration, and a second implausible reading
+// ends the search degraded on SafeConfig. Only plausible readings are
+// recorded and may steer the search.
+type Searcher struct {
 	space Space
-	res   SearchResult
+	order []Param
+	trace func(SearchStep)
+
+	// phase indexes order (-1 until the initial measurement is in);
+	// cands are that sweep's candidates and next the one requested.
+	phase int
+	cands []cache.Config
+	next  int
+	// cur is the configuration sweeps grow from, local the sweep's
+	// incumbent and best the lowest-energy reading overall.
 	cur   cache.Config
+	local EvalResult
 	best  EvalResult
 	seen  map[cache.Config]bool
-	trace func(SearchStep)
+	res   SearchResult
 	steps int
+	want  Request
+	done  bool
 }
 
-// emit hands one decision to the trace hook and advances the step ordinal.
-func (s *search) emit(st SearchStep) {
-	st.Step = s.steps
-	s.steps++
-	if s.trace != nil {
-		s.trace(st)
+// NewSearcher starts a search over space, sweeping the parameters in order.
+// trace (may be nil) receives one SearchStep per accepted reading.
+func NewSearcher(order []Param, space Space, trace func(SearchStep)) *Searcher {
+	return &Searcher{space: space, order: order, trace: trace, phase: -1,
+		cur: space.Start, seen: map[cache.Config]bool{}, want: Request{Cfg: space.Start}}
+}
+
+// Next returns the measurement the search wants, or false once it has
+// ended (then Result holds the outcome).
+func (s *Searcher) Next() (Request, bool) {
+	if s.done {
+		return Request{}, false
 	}
+	return s.want, true
 }
 
-// measure evaluates cfg (once), records it, and updates the incumbent.
-// A reading that fails the plausibility check is re-measured once (the
-// second return reports that happened); if the second reading is implausible
-// too, the search unwinds into graceful degradation (see SearchInSpace).
-// Only plausible readings are recorded and may steer the search.
-func (s *search) measure(cfg cache.Config) (EvalResult, bool) {
-	r := s.eval.Evaluate(cfg)
-	remeasured := false
+// Result is the completed search; it is meaningful once Next reports false.
+func (s *Searcher) Result() SearchResult { return s.res }
+
+// Feed hands the search the reading of the configuration Next requested and
+// advances it by one decision. Feed after the search has ended is ignored.
+func (s *Searcher) Feed(r EvalResult) {
+	if s.done {
+		return
+	}
 	if err := Plausible(r); err != nil {
-		remeasured = true
-		r = remeasure(s.eval, cfg)
-		if err = Plausible(r); err != nil {
-			panic(searchFault{err})
+		if s.want.Remeasure {
+			s.degrade(err)
+			return
 		}
+		s.want.Remeasure = true
+		return
 	}
-	if !s.seen[cfg] {
-		s.seen[cfg] = true
+	remeasured := s.want.Remeasure
+	if !s.seen[s.want.Cfg] {
+		s.seen[s.want.Cfg] = true
 		s.res.Examined = append(s.res.Examined, r)
 	}
 	if s.best.Cfg == (cache.Config{}) || r.Energy < s.best.Energy {
 		s.best = r
 	}
-	return r, remeasured
+	if s.phase < 0 {
+		s.emit(SearchStep{Phase: ParamInitial, Cfg: r.Cfg, Energy: r.Energy, Remeasured: remeasured})
+		s.local = r
+		s.openSweep()
+		return
+	}
+	// Keep the value while energy strictly decreases; stop at the first
+	// configuration that fails to improve.
+	improved := r.Energy < s.local.Energy
+	s.emit(SearchStep{Phase: s.order[s.phase], Cfg: r.Cfg, Energy: r.Energy,
+		Remeasured: remeasured, Improved: improved, Stop: !improved})
+	if improved {
+		s.local = r
+		if s.next++; s.next < len(s.cands) {
+			s.want = Request{Cfg: s.cands[s.next]}
+			return
+		}
+	}
+	s.cur = s.local.Cfg
+	s.openSweep()
+}
+
+// openSweep moves to the next parameter that has a candidate to measure,
+// or settles the search on its best reading when none is left.
+func (s *Searcher) openSweep() {
+	for s.phase++; s.phase < len(s.order); s.phase++ {
+		if s.cands = s.candidates(s.order[s.phase]); len(s.cands) > 0 {
+			s.next = 0
+			s.want = Request{Cfg: s.cands[0]}
+			return
+		}
+		s.cur = s.local.Cfg
+	}
+	s.res.Best = s.best
+	s.done = true
+}
+
+// degrade abandons the search after a reading stayed implausible: Best is
+// SafeConfig (reusing a plausible measurement of it if the search made
+// one), and the plausible measurements already made stay in Examined.
+func (s *Searcher) degrade(fault error) {
+	s.res.Degraded = true
+	s.res.Fault = fault
+	s.res.Best = EvalResult{Cfg: SafeConfig()}
+	for _, r := range s.res.Examined {
+		if r.Cfg == s.res.Best.Cfg {
+			s.res.Best = r
+		}
+	}
+	s.done = true
+}
+
+// emit hands one decision to the trace hook and advances the step ordinal.
+func (s *Searcher) emit(st SearchStep) {
+	st.Step = s.steps
+	s.steps++
+	if s.trace != nil {
+		s.trace(st)
+	}
 }
 
 // Search runs the heuristic with the given parameter order in the paper's
@@ -197,63 +294,24 @@ func SearchInSpace(eval Evaluator, order []Param, space Space) SearchResult {
 // receives one SearchStep per measurement, as the heuristic makes each
 // decision. The hook observes only — it cannot steer the search — so a
 // traced search returns bit-identical results to an untraced one.
-func SearchTraced(eval Evaluator, order []Param, space Space, trace func(SearchStep)) (res SearchResult) {
-	s := &search{eval: eval, space: space, cur: space.Start, seen: map[cache.Config]bool{}, trace: trace}
-	defer func() {
-		if p := recover(); p != nil {
-			f, ok := p.(searchFault)
-			if !ok {
-				panic(p)
-			}
-			res = s.res
-			res.Degraded = true
-			res.Fault = f.err
-			res.Best = EvalResult{Cfg: SafeConfig()}
-			for _, r := range res.Examined {
-				// Reuse a plausible measurement of the fallback if the
-				// search happened to make one.
-				if r.Cfg == res.Best.Cfg {
-					res.Best = r
-				}
-			}
+func SearchTraced(eval Evaluator, order []Param, space Space, trace func(SearchStep)) SearchResult {
+	s := NewSearcher(order, space, trace)
+	for req, ok := s.Next(); ok; req, ok = s.Next() {
+		if req.Remeasure {
+			s.Feed(remeasure(eval, req.Cfg))
+		} else {
+			s.Feed(eval.Evaluate(req.Cfg))
 		}
-	}()
-	prev, rm := s.measure(s.cur)
-	s.emit(SearchStep{Phase: ParamInitial, Cfg: prev.Cfg, Energy: prev.Energy, Remeasured: rm})
-	for _, p := range order {
-		prev = s.sweep(p, prev)
 	}
-	s.res.Best = s.best
-	return s.res
+	return s.Result()
 }
 
 // SearchPaper runs the paper's heuristic ordering.
 func SearchPaper(eval Evaluator) SearchResult { return Search(eval, PaperOrder) }
 
-// sweep walks one parameter upward from its current value, keeping the best
-// value seen and stopping at the first configuration that fails to improve.
-// prev is the measurement of the current configuration; the returned value
-// measures the configuration the search settles on.
-func (s *search) sweep(p Param, prev EvalResult) EvalResult {
-	bestLocal := prev
-	for _, cfg := range s.candidates(p) {
-		r, rm := s.measure(cfg)
-		improved := r.Energy < bestLocal.Energy
-		s.emit(SearchStep{Phase: p, Cfg: r.Cfg, Energy: r.Energy,
-			Remeasured: rm, Improved: improved, Stop: !improved})
-		if improved {
-			bestLocal = r
-		} else {
-			break
-		}
-	}
-	s.cur = bestLocal.Cfg
-	return bestLocal
-}
-
 // candidates lists the next values of parameter p above the current
 // configuration, skipping unrealisable combinations.
-func (s *search) candidates(p Param) []cache.Config {
+func (s *Searcher) candidates(p Param) []cache.Config {
 	var out []cache.Config
 	switch p {
 	case ParamSize:

@@ -16,8 +16,8 @@ import (
 // it keeps — all of it is determined by the EvalResults it has been fed. So
 // the exported state machine is simply that transcript (Online.history) plus
 // the window geometry, and import is replay: feed the recorded measurements
-// back through a fresh Search, which rebuilds its internal state exactly,
-// then splice the live measurement loop back in where the transcript ends.
+// to a fresh Searcher, which rebuilds its internal state exactly, then let
+// the live measurement windows continue where the transcript ends.
 //
 // Snapshots are only meaningful at window boundaries — mid-window the
 // session's state includes half-measured counters that exist nowhere but in
@@ -27,8 +27,7 @@ import (
 // property pinned by internal/experiments' chaos harness).
 
 // SessionState is the complete externally held state of an Online session at
-// a window boundary. It is plain data (no channels, no goroutines) so
-// internal/checkpoint can persist it.
+// a window boundary. It is plain data so internal/checkpoint can persist it.
 type SessionState struct {
 	// Window is the measurement interval the session was created with.
 	Window uint64
@@ -59,7 +58,7 @@ func (o *Online) AtWindowBoundary() bool {
 	if o.finished || o.aborted {
 		return true
 	}
-	return o.pending && o.count == 0 && o.warmupLeft == o.warmup
+	return o.count == 0 && o.warmupLeft == o.warmup
 }
 
 // Snapshot exports the session's state machine. It must be called at a
@@ -86,60 +85,19 @@ func (o *Online) Snapshot() (SessionState, error) {
 	}, nil
 }
 
-// resumeMismatch unwinds a replayed search whose requests diverge from the
-// recorded transcript — a corrupt or mismatched snapshot.
-type resumeMismatch struct{ err error }
-
-// replaySearch reruns the heuristic over a recorded transcript — in the same
-// (possibly budget-restricted) space the original session walked — and
-// reports the state it reaches. complete is true when the transcript settles
-// the search, in which case res is its result — recomputed, not stored, so it
-// cannot drift from the transcript. An incomplete transcript (the search
-// still wants more windows) is not an error; a transcript that diverges
-// from the heuristic's deterministic request sequence is.
-func replaySearch(history []EvalResult, space Space) (res SearchResult, complete bool, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			switch m := p.(type) {
-			case resumeMismatch:
-				res, complete, err = SearchResult{}, false, m.err
-			case abortSession:
-				// Transcript exhausted mid-search: the search wants its
-				// next live window. This unwinds the goroutine-free
-				// replay the same way Abort unwinds a live session.
-				res, complete, err = SearchResult{}, false, nil
-			default:
-				panic(p)
-			}
-		}
-	}()
-	i := 0
-	res = SearchInSpace(EvaluatorFunc(func(cfg cache.Config) EvalResult {
-		if i >= len(history) {
-			panic(abortSession{})
-		}
-		r := history[i]
-		if r.Cfg != cfg {
-			panic(resumeMismatch{fmt.Errorf("tuner: resume transcript diverged at window %d: recorded %v, search requests %v", i, r.Cfg, cfg)})
-		}
-		i++
-		return r
-	}), PaperOrder, space)
-	if i != len(history) {
-		return SearchResult{}, false, fmt.Errorf("tuner: resume transcript has %d windows but the search consumed only %d", len(history), i)
-	}
-	return res, true, nil
-}
-
 // ResumeOnline rebuilds a tuning session from a SessionState exported by
 // Snapshot. c must be the cache restored from the Image captured at the same
 // boundary (its applied configuration is cross-checked). The resumed session
-// continues the search mid-sweep: the recorded transcript is replayed
-// through a fresh heuristic — rebuilding sweep position, candidate index and
-// best-so-far energies exactly — and the live measurement loop takes over at
-// the first window the transcript does not cover. meter plays the same role
-// as in NewOnlineMetered and must be the same measurement seam the original
-// session used for the continuation to be faithful.
+// continues the search mid-sweep: the recorded transcript is fed to a fresh
+// Searcher — rebuilding sweep position, candidate index and best-so-far
+// energies exactly — and live measurement windows take over at the first
+// window the transcript does not cover. A transcript that diverges from the
+// heuristic's deterministic request sequence is a corrupt snapshot and an
+// error, as is one whose end state disagrees with the snapshot: a settled
+// snapshot must settle on Applied, and a mid-search one must want Applied
+// measured next. meter plays the same role as in NewOnlineMetered and must
+// be the same measurement seam the original session used for the
+// continuation to be faithful.
 func ResumeOnline(c *cache.Configurable, p *energy.Params, st SessionState, meter Meter) (*Online, error) {
 	return ResumeOnlineObserved(c, p, st, meter, nil, 0)
 }
@@ -157,6 +115,12 @@ func ResumeOnlineObserved(c Live, p *energy.Params, st SessionState, meter Meter
 	if c.Config() != st.Applied {
 		return nil, fmt.Errorf("tuner: resume: cache is configured %v but the snapshot applied %v", c.Config(), st.Applied)
 	}
+	if st.Start != (cache.Config{}) && st.Start.Validate() != nil {
+		// Every request a search from a valid start makes is realisable,
+		// so a transcript that matches them can never settle the cache
+		// on a configuration it cannot take.
+		return nil, fmt.Errorf("tuner: resume: invalid start configuration %v", st.Start)
+	}
 	o := &Online{
 		cache:     c,
 		params:    p,
@@ -166,82 +130,57 @@ func ResumeOnlineObserved(c Live, p *energy.Params, st SessionState, meter Meter
 		sessionID: session,
 		warmup:    st.Window / 4,
 		settleWB:  st.SettleWB,
-		history:   append([]EvalResult(nil), st.History...),
-		req:       make(chan cache.Config),
-		resp:      make(chan EvalResult),
-		done:      make(chan SearchResult, 1),
-		quit:      make(chan struct{}),
 		maxBytes:  st.MaxBytes,
 		start:     st.Start,
 	}
 	if st.Aborted {
 		o.aborted = true
+		o.history = append([]EvalResult(nil), st.History...)
 		return o, nil
 	}
-	if st.Finished {
-		// The transcript contains the whole search; recompute its result
-		// (including the Degraded path) instead of trusting a separately
-		// stored copy that could drift from it.
-		res, complete, err := replaySearch(st.History, o.searchSpace())
-		if err != nil {
-			return nil, err
-		}
-		if !complete {
-			return nil, fmt.Errorf("tuner: resume: snapshot marked finished but its %d-window transcript does not settle the search", len(st.History))
-		}
-		if res.Best.Cfg != st.Applied {
-			return nil, fmt.Errorf("tuner: resume: settled snapshot applied %v but the transcript settles on %v", st.Applied, res.Best.Cfg)
-		}
-		o.finished = true
-		o.result = res
-		return o, nil
+	// A settled session's result is recomputed from the transcript
+	// (including the Degraded path) instead of trusting a separately
+	// stored copy that could drift from it. Its steps were recorded when
+	// the search made them, so only a session still searching re-emits
+	// them — under the first life's coordinates, starting with the search
+	// span, so the re-emitted events are bit-identical and dedupe away.
+	var trace func(SearchStep)
+	if !st.Finished {
+		o.beginSearchSpan()
+		trace = o.traceStep
 	}
-
-	// Active session: replay the transcript inside the search goroutine,
-	// then hand over to the live window loop. A transcript that diverges
-	// from the deterministic request sequence, or that unexpectedly
-	// completes the search, is a corrupt snapshot and fails construction.
-	mismatch := make(chan error, 1)
-	idx := 0
-	// Re-begin the search span before the transcript replay: coordinates
-	// (session ordinal, window 0) match the first life's begin exactly, so
-	// the re-emitted span event is bit-identical and dedupes away.
-	o.beginSearchSpan()
-	o.startSearch(EvaluatorFunc(func(cfg cache.Config) EvalResult {
-		if idx < len(st.History) {
-			r := st.History[idx]
-			if r.Cfg != cfg {
-				mismatch <- fmt.Errorf("tuner: resume transcript diverged at window %d: recorded %v, search requests %v", idx, r.Cfg, cfg)
-				panic(abortSession{})
-			}
-			idx++
-			return r
-		}
-		return o.liveEvaluate(cfg)
-	}))
-	// Re-arm exactly like advance(): the first live request must be the
-	// configuration that was applied at the boundary. Applying it again is
-	// a no-op reconfiguration (SetConfig of the current configuration),
-	// so the resumed window starts from the restored cache image with a
-	// fresh warmup — the same state the original process was in.
-	select {
-	case err := <-mismatch:
-		return nil, err
-	case res := <-o.done:
-		_ = res
-		return nil, fmt.Errorf("tuner: resume: snapshot marked mid-search but its %d-window transcript settles the search", len(st.History))
-	case cfg, ok := <-o.req:
+	s := NewSearcher(PaperOrder, o.searchSpace(), trace)
+	for i, r := range st.History {
+		req, ok := s.Next()
 		if !ok {
-			return nil, fmt.Errorf("tuner: resume: search ended without a result")
+			return nil, fmt.Errorf("tuner: resume transcript has %d windows but the search settles after %d", len(st.History), i)
 		}
-		if cfg != st.Applied {
-			return nil, fmt.Errorf("tuner: resume: search requests %v next but the snapshot applied %v", cfg, st.Applied)
+		if req.Cfg != r.Cfg {
+			return nil, fmt.Errorf("tuner: resume transcript diverged at window %d: recorded %v, search requests %v", i, r.Cfg, req.Cfg)
 		}
-		o.apply(cfg)
-		o.cache.ResetStats()
-		o.count = 0
-		o.warmupLeft = o.warmup
-		o.pending = true
+		o.history = append(o.history, r)
+		s.Feed(r)
+	}
+	req, ok := s.Next()
+	switch {
+	case st.Finished && ok:
+		return nil, fmt.Errorf("tuner: resume: snapshot marked finished but its %d-window transcript does not settle the search", len(st.History))
+	case st.Finished && s.Result().Best.Cfg != st.Applied:
+		return nil, fmt.Errorf("tuner: resume: settled snapshot applied %v but the transcript settles on %v", st.Applied, s.Result().Best.Cfg)
+	case st.Finished:
+		o.finished = true
+		o.result = s.Result()
+	case !ok:
+		return nil, fmt.Errorf("tuner: resume: snapshot marked mid-search but its %d-window transcript settles the search", len(st.History))
+	case req.Cfg != st.Applied:
+		return nil, fmt.Errorf("tuner: resume: search requests %v next but the snapshot applied %v", req.Cfg, st.Applied)
+	default:
+		// Re-arm exactly like advance. Applying the configuration that
+		// is already applied is a no-op reconfiguration, so the resumed
+		// window starts from the restored cache image with a fresh
+		// warmup — the state the original process was in.
+		o.search = s
+		o.arm(req.Cfg)
 	}
 	return o, nil
 }
