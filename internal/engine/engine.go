@@ -1,5 +1,6 @@
 // Package engine owns trace replay end-to-end: it replays a shared immutable
-// reference stream through a freshly built cache simulator per configuration,
+// reference stream through a freshly built cache simulator per configuration
+// (or, for the four-bank space, one fused pass that measures all 27 at once),
 // applies the end-of-interval dirty-line drain and the Equation 1 energy
 // pricing exactly once, memoises per-configuration results behind a mutex,
 // and fans sweeps out across a bounded worker pool. Every evaluator and
@@ -50,22 +51,26 @@ type Model[C comparable] struct {
 	// FastBuild, when non-nil, constructs the fast replay kernel for a
 	// configuration. It must be bit-identical to Build in every output the
 	// engine observes (Stats, DirtyLines) — the fastsim differential
-	// oracle enforces this for the stock models. Which factory a replay
-	// uses is decided per evaluation (the package FastSim flag or a
-	// WithFastSim/WithReferenceSim constructor option), and the kernel
-	// identity is part of the memo key.
+	// oracle enforces this for the stock models. An engine replays through
+	// it unless built WithReferenceSim, and the kernel identity is part of
+	// the memo key.
 	FastBuild Factory[C]
 	// FusedBuild, when non-nil, constructs a fused multi-configuration
-	// kernel: one trace pass that measures every configuration in its
-	// Configs set at once (fastsim.FusedKernel for the four-bank space).
+	// kernel: one trace pass that measures every configuration in
+	// FusedConfigs at once (fastsim.FusedKernel for the four-bank space).
 	// Like FastBuild it must be bit-identical to Build per configuration —
-	// the fused tier of the differential oracle enforces this. The fused
-	// path is opt-in (SetFusedSweep / WithFusedSweep) and only serves
-	// configurations in the kernel's coverage set; everything else falls
-	// back to the per-configuration factories. Fault wrappers clear this
-	// field: injection is per (configuration, reading) and a fused pass
-	// cannot realise it, so a fault-armed model must never fuse.
+	// the fused tier of the differential oracle enforces this. It is the
+	// default for covered configurations: an engine built without
+	// WithFastSim/WithReferenceSim serves every one of them from a single
+	// pass, and everything else falls back to the per-configuration
+	// factories. Fault wrappers clear this field: injection is per
+	// (configuration, reading) and a fused pass cannot realise it, so a
+	// fault-armed model must never fuse.
 	FusedBuild func() FusedReplayer[C]
+	// FusedConfigs is FusedBuild's coverage set: the configurations one
+	// fused pass measures. The engine routes evaluations by it without
+	// constructing a kernel.
+	FusedConfigs []C
 	// Price applies Equation 1 to the interval's counters.
 	Price func(C, cache.Stats) energy.Breakdown
 	// NoDrain skips the end-of-interval dirty-line drain. The tuner's
@@ -128,13 +133,11 @@ const (
 )
 
 // FusedReplayer is the fused-sweep contract: a kernel that replays one
-// columnar stream through a fixed set of configurations simultaneously and
-// reconstructs each configuration's interval counters and drain count
-// afterwards. fastsim.FusedKernel implements it for the 27-point four-bank
-// space.
+// columnar stream through a fixed set of configurations simultaneously (the
+// model's FusedConfigs) and reconstructs each configuration's interval
+// counters and drain count afterwards. fastsim.FusedKernel implements it for
+// the 27-point four-bank space.
 type FusedReplayer[C comparable] interface {
-	// Configs lists the configurations one pass covers.
-	Configs() []C
 	// ReplayColumns advances every configuration through a block of
 	// accesses; the engine feeds ctxCheckInterval-sized blocks.
 	ReplayColumns(trace.Columns)
@@ -144,72 +147,43 @@ type FusedReplayer[C comparable] interface {
 	DirtyLinesOf(C) int
 }
 
-// fastSim is the package-level feature flag: when set (the default), engines
-// whose model carries a FastBuild factory replay through the fast kernel.
-// The CLIs' -fastsim flag and per-engine constructor options override it.
-var fastSim atomic.Bool
-
-func init() { fastSim.Store(true) }
-
-// SetFastSim flips the package-level fast-kernel flag (the CLIs' -fastsim
-// flag). It only affects engines whose model provides FastBuild and which
-// were not constructed with an explicit kernel option.
-func SetFastSim(on bool) { fastSim.Store(on) }
-
-// FastSimEnabled reports the package-level fast-kernel flag.
-func FastSimEnabled() bool { return fastSim.Load() }
-
-// fusedSweep is the package-level fused-sweep flag: when set, engines whose
-// model carries a FusedBuild factory serve covered configurations from one
-// fused multi-configuration pass instead of per-configuration replays.
-// Off by default — the fused path is an opt-in (the CLIs' -fused flag),
-// unlike fastsim.
-var fusedSweep atomic.Bool
-
-// SetFusedSweep flips the package-level fused-sweep flag (the CLIs' -fused
-// flag). It only affects engines whose model provides FusedBuild and which
-// were not constructed with an explicit kernel option.
-func SetFusedSweep(on bool) { fusedSweep.Store(on) }
-
-// FusedSweepEnabled reports the package-level fused-sweep flag.
-func FusedSweepEnabled() bool { return fusedSweep.Load() }
-
-// Option configures an Engine at construction.
+// Option configures an Engine at construction. The kernel an engine uses
+// for a configuration is fixed when the engine is built: it depends only on
+// the model, the option and the configuration.
 type Option func(*engineOptions)
 
 type engineOptions struct {
-	// kernel forces a kernel regardless of the package flag; "" follows it.
+	// kernel pins a kernel; "" is the default selection.
 	kernel string
 }
 
-// WithFastSim forces the engine onto the fast kernel (Model.FastBuild),
-// ignoring the package flag. An engine whose model has no FastBuild factory
-// still replays through the reference simulator.
+// WithFastSim pins the engine to the per-configuration fast kernel
+// (Model.FastBuild) for every configuration, bypassing the fused pass. An
+// engine whose model has no FastBuild factory still replays through the
+// reference simulator.
 func WithFastSim() Option {
 	return func(o *engineOptions) { o.kernel = KernelFast }
 }
 
-// WithReferenceSim forces the engine onto the reference simulator, ignoring
-// the package flag — the differential oracle's and bench harness's baseline
-// side.
+// WithReferenceSim pins the engine to the reference simulator — the
+// differential oracle's and bench harness's baseline side.
 func WithReferenceSim() Option {
 	return func(o *engineOptions) { o.kernel = KernelReference }
 }
 
-// WithFusedSweep forces the engine onto the fused multi-configuration pass
-// (Model.FusedBuild) for covered configurations, ignoring the package flags.
-// Configurations outside the fused kernel's coverage — and every replay of a
-// model without FusedBuild — fall back to the package FastSim flag's choice
-// of per-configuration kernel.
+// WithFusedSweep names the default selection explicitly: covered
+// configurations from the fused pass (Model.FusedBuild), the rest from the
+// per-configuration fast kernel. Kernel comparisons (the differential
+// oracle, the bench harness) name it beside WithFastSim/WithReferenceSim.
 func WithFusedSweep() Option {
 	return func(o *engineOptions) { o.kernel = KernelFused }
 }
 
 // simKey identifies one memoised replay: the configuration plus the kernel
 // that produced it. Keying the memo (and the in-flight table) on the kernel
-// identity means a process that mixes fast and reference replays — the
-// oracle, the bench harness, a flag flip mid-run — can never serve a result
-// measured by one kernel to a request for the other.
+// identity means results measured by different kernels can never be served
+// for one another. An engine's kernel per configuration is fixed at
+// construction, so this is a defensive invariant, not a path in use.
 type simKey[C comparable] struct {
 	cfg    C
 	kernel string
@@ -241,9 +215,8 @@ type Engine[C comparable] struct {
 	// the clock — the telemetry-inertness contract.
 	hist *obs.Histogram
 
-	// forced pins the kernel chosen at construction (WithFastSim /
-	// WithReferenceSim / WithFusedSweep); empty means follow the package
-	// flags per call.
+	// forced is the kernel option given at construction (WithFastSim /
+	// WithReferenceSim / WithFusedSweep); empty is the default selection.
 	forced string
 
 	// cols is the columnar transposition of accs, built once on the first
@@ -251,9 +224,8 @@ type Engine[C comparable] struct {
 	colsOnce sync.Once
 	cols     trace.Columns
 
-	// fusedCfgs is the fused kernel's coverage set, resolved once from a
-	// throwaway FusedBuild instance on first use.
-	fusedOnce sync.Once
+	// fusedCfgs is the set of configurations served by the fused pass:
+	// the model's FusedConfigs when the engine fuses, else empty.
 	fusedCfgs map[C]struct{}
 
 	mu       sync.Mutex
@@ -305,82 +277,47 @@ func (e *Engine[C]) rec() obs.Recorder {
 // New builds an engine over a recorded stream. The stream should be a single
 // cache's view: instruction fetches for an I-cache study or data references
 // for a D-cache study (use trace.Split). The engine aliases accs; callers
-// must not mutate it afterwards. By default the engine follows the package
-// FastSim flag when the model provides a fast kernel; WithFastSim and
-// WithReferenceSim pin the choice per engine.
+// must not mutate it afterwards. By default the engine serves the
+// configurations its model's fused kernel covers from one fused pass and
+// the rest from the fast kernel; WithFastSim and WithReferenceSim pin a
+// per-configuration kernel instead.
 func New[C comparable](accs []trace.Access, m Model[C], opts ...Option) *Engine[C] {
 	var o engineOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return &Engine[C]{
+	e := &Engine[C]{
 		accs:     accs,
 		model:    m,
 		forced:   o.kernel,
 		memo:     map[simKey[C]]Result[C]{},
 		inflight: map[simKey[C]]*sync.WaitGroup{},
 	}
-}
-
-// Kernel reports which per-configuration kernel the engine would use for an
-// evaluation started now: KernelFast when the model provides a fast factory
-// and either the engine or the package flag selects it, else
-// KernelReference. When the fused sweep is active, configurations inside the
-// fused kernel's coverage use KernelFused instead (resolved per
-// configuration by kernelFor); Kernel reports the fallback the remaining
-// configurations get.
-func (e *Engine[C]) Kernel() string {
-	if e.model.FastBuild == nil {
-		return KernelReference
-	}
-	switch e.forced {
-	case KernelFast:
-		return KernelFast
-	case KernelReference:
-		return KernelReference
-	}
-	if FastSimEnabled() {
-		return KernelFast
-	}
-	return KernelReference
-}
-
-// fusedWanted reports whether the engine is currently selecting the fused
-// pass: the model must carry a fused factory, and either the engine was
-// pinned with WithFusedSweep or it follows the package flag. WithFastSim /
-// WithReferenceSim pin away from the fused path entirely.
-func (e *Engine[C]) fusedWanted() bool {
-	if e.model.FusedBuild == nil {
-		return false
-	}
-	switch e.forced {
-	case KernelFused:
-		return true
-	case "":
-		return FusedSweepEnabled()
-	}
-	return false
-}
-
-// fusedCovers reports whether the fused kernel's configuration set includes
-// cfg. The set is resolved once per engine.
-func (e *Engine[C]) fusedCovers(cfg C) bool {
-	e.fusedOnce.Do(func() {
-		set := map[C]struct{}{}
-		for _, c := range e.model.FusedBuild().Configs() {
-			set[c] = struct{}{}
+	if m.FusedBuild != nil && (o.kernel == "" || o.kernel == KernelFused) {
+		e.fusedCfgs = make(map[C]struct{}, len(m.FusedConfigs))
+		for _, c := range m.FusedConfigs {
+			e.fusedCfgs[c] = struct{}{}
 		}
-		e.fusedCfgs = set
-	})
-	_, ok := e.fusedCfgs[cfg]
-	return ok
+	}
+	return e
+}
+
+// Kernel reports the engine's per-configuration kernel: KernelReference
+// when the model has no fast factory or the engine was built
+// WithReferenceSim, else KernelFast. Configurations the fused pass covers
+// use KernelFused instead (see kernelFor); Kernel reports what the
+// remaining configurations get.
+func (e *Engine[C]) Kernel() string {
+	if e.model.FastBuild == nil || e.forced == KernelReference {
+		return KernelReference
+	}
+	return KernelFast
 }
 
 // kernelFor resolves the kernel for one configuration's evaluation: the
-// fused pass when it is selected and covers cfg, else the per-configuration
-// kernel from Kernel().
+// fused pass when the engine fuses and covers cfg, else Kernel().
 func (e *Engine[C]) kernelFor(cfg C) string {
-	if e.fusedWanted() && e.fusedCovers(cfg) {
+	if _, ok := e.fusedCfgs[cfg]; ok {
 		return KernelFused
 	}
 	return e.Kernel()
@@ -411,8 +348,6 @@ func (e *Engine[C]) Evaluate(cfg C) Result[C] {
 // deterministically failed) replays are memoised; a cancelled replay is not,
 // so a later call can complete it.
 func (e *Engine[C]) EvaluateCtx(ctx context.Context, cfg C) (Result[C], error) {
-	// The kernel is resolved once per evaluation, so a package-flag flip
-	// mid-call cannot split the key from the simulator actually built.
 	key := simKey[C]{cfg: cfg, kernel: e.kernelFor(cfg)}
 	for {
 		if err := ctx.Err(); err != nil {

@@ -3,6 +3,7 @@ package engine
 import (
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"selftune/internal/cache"
@@ -23,9 +24,10 @@ func (s skewedFused) StatsOf(cfg cache.Config) cache.Stats {
 
 // TestMemoKeySeparatesFusedKernel pins the memo-key property for the third
 // kernel tag: results measured by the fused pass live under their own memo
-// entries, so fused results never satisfy fast or reference evaluations (and
-// vice versa) — flipping the flags between evaluations replays instead of
-// serving another kernel's (here: deliberately different) result.
+// entries, so an engine on the fused default never serves them to, or
+// takes them from, the fast or reference kernels — engines pinned
+// WithFastSim/WithReferenceSim over the same (deliberately skewed) fused
+// model measure the per-configuration kernels' results.
 func TestMemoKeySeparatesFusedKernel(t *testing.T) {
 	p := energy.DefaultParams()
 	data := dataStream(t, "crc", 10_000)
@@ -35,52 +37,60 @@ func TestMemoKeySeparatesFusedKernel(t *testing.T) {
 	inner := m.FusedBuild
 	m.FusedBuild = func() FusedReplayer[cache.Config] { return skewedFused{inner()} }
 
-	e := New(data, m)
-	SetFastSim(true)
-	SetFusedSweep(true)
-	t.Cleanup(func() { SetFastSim(true); SetFusedSweep(false) })
-
-	fused1 := e.Evaluate(cfg)
-	SetFusedSweep(false)
-	fast1 := e.Evaluate(cfg)
-	SetFastSim(false)
-	ref1 := e.Evaluate(cfg)
+	fusedEng, fastEng, refEng := New(data, m), New(data, m, WithFastSim()), New(data, m, WithReferenceSim())
+	fused1, fast1, ref1 := fusedEng.Evaluate(cfg), fastEng.Evaluate(cfg), refEng.Evaluate(cfg)
 	if fused1.Stats.Misses == fast1.Stats.Misses || fused1.Stats.Misses == ref1.Stats.Misses {
 		t.Fatal("test harness broken: skewed fused kernel matched a per-config kernel")
 	}
 	if fast1.Stats != ref1.Stats {
 		t.Fatalf("fast and reference kernels diverged:\n fast %+v\n ref  %+v", fast1.Stats, ref1.Stats)
 	}
-	if got := e.Counters().MemoMisses.Load(); got != 3 {
-		t.Errorf("three kernels caused %d replays, want 3 (one per kernel)", got)
+	if _, ok := fusedEng.memo[simKey[cache.Config]{cfg: cfg, kernel: KernelFused}]; !ok {
+		t.Error("default engine's base-config result is not under a fused-tagged memo key")
+	}
+	for _, k := range fusedEng.memo {
+		if k.Stats.Misses < 1_000_000 {
+			t.Errorf("default engine memoised %v with unskewed counters: not from the fused pass", k.Cfg)
+		}
 	}
 
-	// Each kernel's re-evaluation must come from its own memo slot.
-	SetFusedSweep(true)
-	SetFastSim(true)
-	fused2 := e.Evaluate(cfg)
-	SetFusedSweep(false)
-	fast2 := e.Evaluate(cfg)
-	SetFastSim(false)
-	ref2 := e.Evaluate(cfg)
-	if fused2 != fused1 || fast2 != fast1 || ref2 != ref1 {
+	// Each engine's re-evaluation must come from its own memo slot.
+	if fusedEng.Evaluate(cfg) != fused1 || fastEng.Evaluate(cfg) != fast1 || refEng.Evaluate(cfg) != ref1 {
 		t.Error("re-evaluations did not serve the matching kernel's memo entry")
 	}
-	if got := e.Counters().MemoMisses.Load(); got != 3 {
-		t.Errorf("memoised re-evaluations replayed: %d misses, want still 3", got)
+	for name, e := range map[string]*Engine[cache.Config]{"fused": fusedEng, "fast": fastEng, "reference": refEng} {
+		if got := e.Counters().MemoMisses.Load(); got != 1 {
+			t.Errorf("%s engine replayed %d times, want 1", name, got)
+		}
 	}
 
-	// WithFusedSweep pins the fused pass regardless of the package flags;
-	// WithFastSim/WithReferenceSim pin away from it even with the flag set.
-	forced := New(data, m, WithFusedSweep())
-	if got := forced.Evaluate(cfg).Stats.Misses; got != fused1.Stats.Misses {
-		t.Errorf("WithFusedSweep engine measured %d misses, want the fused kernel's %d", got, fused1.Stats.Misses)
+	// WithFusedSweep names the default: it measures the fused kernel too.
+	if got := New(data, m, WithFusedSweep()).Evaluate(cfg); got != fused1 {
+		t.Errorf("WithFusedSweep engine measured %+v, want the fused kernel's %+v", got.Stats, fused1.Stats)
 	}
-	SetFusedSweep(true)
-	SetFastSim(true)
-	pinnedFast := New(data, m, WithFastSim())
-	if got := pinnedFast.Evaluate(cfg).Stats; got != fast1.Stats {
-		t.Errorf("WithFastSim engine under fused flag measured %+v, want the fast kernel's %+v", got, fast1.Stats)
+}
+
+// TestFusedCoverageBuildsOneKernel pins that an engine resolves the fused
+// coverage set from the model without constructing a kernel: the Table 1
+// pattern (search, exhaustive sweep, base energy) on a default engine builds
+// exactly one fused kernel, the one its single pass replays through.
+func TestFusedCoverageBuildsOneKernel(t *testing.T) {
+	p := energy.DefaultParams()
+	data := dataStream(t, "crc", 5_000)
+	m := Configurable(p)
+	var builds atomic.Int64
+	inner := m.FusedBuild
+	m.FusedBuild = func() FusedReplayer[cache.Config] { builds.Add(1); return inner() }
+
+	e := New(data, m)
+	if got := builds.Load(); got != 0 {
+		t.Fatalf("New built %d fused kernels, want 0", got)
+	}
+	e.Evaluate(cache.MinConfig())
+	e.EvaluateAll(cache.AllConfigs(), 4)
+	e.Evaluate(cache.BaseConfig())
+	if got := builds.Load(); got != 1 {
+		t.Errorf("Table 1 pattern built %d fused kernels, want 1", got)
 	}
 }
 

@@ -9,16 +9,17 @@ import (
 // Configurable is the model of the paper's four-bank configurable cache
 // priced with the calibrated Equation 1 parameters — the Table 1 replay
 // methodology (full-benchmark simulation per configuration, drain included).
-// FastBuild carries the fastsim kernel, bit-identical by the differential
-// oracle; the engine picks it per the FastSim flag and constructor options.
-// FusedBuild carries the single-pass 27-configuration kernel, opt-in via
-// the FusedSweep flag / WithFusedSweep and held to the same oracle.
+// FusedBuild carries the single-pass 27-configuration kernel, the default
+// for every configuration it covers; FastBuild carries the per-configuration
+// fastsim kernel that WithFastSim pins. Both are held bit-identical to Build
+// by the differential oracle.
 func Configurable(p *energy.Params) Model[cache.Config] {
 	return Model[cache.Config]{
-		Build:      func(cfg cache.Config) Simulator { return cache.MustConfigurable(cfg) },
-		FastBuild:  func(cfg cache.Config) Simulator { return fastsim.Must(cfg) },
-		FusedBuild: func() FusedReplayer[cache.Config] { return fastsim.NewFused() },
-		Price:      p.Evaluate,
+		Build:        func(cfg cache.Config) Simulator { return cache.MustConfigurable(cfg) },
+		FastBuild:    func(cfg cache.Config) Simulator { return fastsim.Must(cfg) },
+		FusedBuild:   func() FusedReplayer[cache.Config] { return fastsim.NewFused() },
+		FusedConfigs: cache.AllConfigs(),
+		Price:        p.Evaluate,
 	}
 }
 

@@ -18,7 +18,9 @@ func obsTestEngine(n int) *Engine[cache.Config] {
 		prof = workload.Profiles()[0]
 	}
 	_, data := trace.Split(trace.NewSliceSource(prof.Generate(n)))
-	return New(data, Configurable(energy.DefaultParams()))
+	// Pinned per configuration: the memo counters below count one replay
+	// per distinct configuration.
+	return New(data, Configurable(energy.DefaultParams()), WithFastSim())
 }
 
 // Memo hit/miss counters must be exact — every Evaluate lands exactly one

@@ -52,8 +52,7 @@ func TestPanicBecomesPerConfigError(t *testing.T) {
 		}
 		return s
 	}
-	m.FastBuild = nil // the instrumented reference factory must be the one used
-	e := New(data, m)
+	e := New(data, m, WithReferenceSim()) // the instrumented reference factory must be the one used
 	results, err := e.EvaluateAllCtx(context.Background(), cache.AllConfigs(), 4)
 	if err != nil {
 		t.Fatalf("sweep aborted: %v", err)
@@ -100,8 +99,7 @@ func TestRetryRecoversTransientCrash(t *testing.T) {
 			}
 			return s
 		}
-		m.FastBuild = nil // the instrumented reference factory must be the one used
-		return New(data, m)
+		return New(data, m, WithReferenceSim()) // the instrumented reference factory must be the one used
 	}
 
 	e := makeEngine(1)
@@ -200,8 +198,7 @@ func TestReevaluateDropsMemo(t *testing.T) {
 		builds.Add(1)
 		return inner(c)
 	}
-	m.FastBuild = nil // the instrumented reference factory must be the one used
-	e := New(data, m)
+	e := New(data, m, WithReferenceSim()) // the instrumented reference factory must be the one used
 	cfg := cache.BaseConfig()
 	first := e.Evaluate(cfg)
 	second := e.Reevaluate(cfg)
@@ -226,8 +223,7 @@ func TestBackoffCancellation(t *testing.T) {
 		// either replaying briefly or backing off.
 		return &crashSim{inner: inner(cfg), after: 1}
 	}
-	m.FastBuild = nil // the instrumented reference factory must be the one used
-	e := New(data, m)
+	e := New(data, m, WithReferenceSim()) // the instrumented reference factory must be the one used
 	e.Retry = RetryPolicy{Attempts: 5, Backoff: time.Hour}
 
 	ctx, cancel := context.WithCancel(context.Background())

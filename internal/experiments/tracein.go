@@ -23,25 +23,42 @@ import (
 // 4-way base, for each cache. PaperI/PaperD are left empty — a recorded
 // trace has no published reference selection. The two excess values are
 // heuristic/optimal - 1 per stream.
+//
+// The I-cache and D-cache halves are independent, so they run concurrently
+// (serially at workers=1), each on its own evaluator: one fused pass serves
+// its search, exhaustive optimum and base energy alike.
 func table1Row(name string, inst, data []trace.Access, p *energy.Params, workers int) (Table1Row, float64, float64) {
-	base := cache.BaseConfig()
-	iev := tuner.NewTraceEvaluator(inst, p)
-	dev := tuner.NewTraceEvaluator(data, p)
-	ih, dh := tuner.SearchPaper(iev), tuner.SearchPaper(dev)
-	iOpt := tuner.ExhaustiveWorkers(iev, cache.AllConfigs(), workers).Best
-	dOpt := tuner.ExhaustiveWorkers(dev, cache.AllConfigs(), workers).Best
+	type half struct {
+		cfg, opt     cache.Config
+		num          int
+		save, excess float64
+	}
+	streams := [2][]trace.Access{inst, data}
+	halves := engine.Parallel(len(streams), workers, func(i int) half {
+		ev := tuner.NewTraceEvaluator(streams[i], p)
+		h := tuner.SearchPaper(ev)
+		opt := tuner.ExhaustiveWorkers(ev, cache.AllConfigs(), workers).Best
+		return half{
+			cfg:    h.Best.Cfg,
+			opt:    opt.Cfg,
+			num:    h.NumExamined(),
+			save:   1 - h.Best.Energy/ev.Evaluate(cache.BaseConfig()).Energy,
+			excess: h.Best.Energy/opt.Energy - 1,
+		}
+	})
+	i, d := halves[0], halves[1]
 	row := Table1Row{
 		Name:  name,
-		ICfg:  ih.Best.Cfg,
-		DCfg:  dh.Best.Cfg,
-		INum:  ih.NumExamined(),
-		DNum:  dh.NumExamined(),
-		ISave: 1 - ih.Best.Energy/iev.Evaluate(base).Energy,
-		DSave: 1 - dh.Best.Energy/dev.Evaluate(base).Energy,
-		IOpt:  iOpt.Cfg,
-		DOpt:  dOpt.Cfg,
+		ICfg:  i.cfg,
+		DCfg:  d.cfg,
+		INum:  i.num,
+		DNum:  d.num,
+		ISave: i.save,
+		DSave: d.save,
+		IOpt:  i.opt,
+		DOpt:  d.opt,
 	}
-	return row, ih.Best.Energy/iOpt.Energy - 1, dh.Best.Energy/dOpt.Energy - 1
+	return row, i.excess, d.excess
 }
 
 // Table1TraceCtx computes a one-row Table 1 over a recorded trace's

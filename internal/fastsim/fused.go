@@ -187,10 +187,6 @@ func NewFused() *FusedKernel {
 	return k
 }
 
-// Configs lists the configurations the kernel evaluates: the full 27-point
-// space, in cache.AllConfigs order.
-func (k *FusedKernel) Configs() []cache.Config { return cache.AllConfigs() }
-
 // laneOf resolves a configuration to its content lane and predictor lane
 // (-1 when prediction is off). ok is false for configurations outside the
 // four-bank space.
@@ -616,7 +612,7 @@ func (k *FusedKernel) ReplayBatch(accs []trace.Access) {
 // own counts plus the shared stream totals, with hits and predicted hits
 // recovered by complement (every access is a hit or a miss; every predicted
 // access is a predicted hit or a misprediction). Panics on a configuration
-// outside the 27-point space — callers gate on Configs.
+// outside the 27-point space (cache.AllConfigs) — callers gate on it.
 func (k *FusedKernel) StatsOf(cfg cache.Config) cache.Stats {
 	li, pi, ok := k.laneOf(cfg)
 	if !ok {

@@ -94,8 +94,8 @@ func Wrap[C comparable](m engine.Model[C], f *Measurement) engine.Model[C] {
 	// The fused pass measures every configuration from one shared replay, so
 	// it cannot realise per-(configuration, reading) injection. Clearing the
 	// factory forces fault-armed engines onto the wrapped per-configuration
-	// factories — injection can never be bypassed by enabling the fused
-	// sweep.
+	// factories — injection can never be bypassed by the fused pass, the
+	// engine's default for the four-bank space.
 	m.FusedBuild = nil
 	return m
 }
